@@ -109,13 +109,14 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
         print(f"{test}: {'pass' if res.passes else 'fail'}", file=out)
     elif test == "frobenius":
         report = frobenius_test(n, poly)
+        j = jacobi(discriminant(poly), n)
         print(f"n = {n}, poly {','.join(map(str, poly))}", file=out)
         print(f"degrees {list(report.degrees)}", file=out)
         if report.factor_found:
             print(f"factor found: {report.factor_found}", file=out)
         if report.jacobi_s is not None:
             print(f"jacobi stage sum S = {report.jacobi_s}, "
-                  f"(delta/n) = {jacobi_of(poly, n)}", file=out)
+                  f"(delta/n) = {j}", file=out)
         stage = f" at stage {report.stage}" if report.stage else ""
         print(f"frobenius: {report.verdict}{stage}", file=out)
         record = {
@@ -124,7 +125,7 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             "poly": ",".join(map(str, poly)),
             "verdict": report.verdict,
             "degrees": ",".join(map(str, report.degrees)),
-            "jacobi": str(jacobi_of(poly, n)),
+            "jacobi": str(j),
         }
         if report.factor_found:
             record["factor_found"] = str(report.factor_found)
@@ -132,10 +133,6 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
         raise ValueError(f"unknown test {test!r}")
     print("record: " + json.dumps(record, separators=(",", ":")), file=out)
     return record
-
-
-def jacobi_of(poly, n: int) -> int:
-    return jacobi(discriminant(poly), n)
 
 
 def _cmd_verify(args) -> int:

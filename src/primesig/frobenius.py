@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .modarith import is_prime_baseline, jacobi
-from .polymod import _gcmd, _pdivmod_monic, _pmul, _ppow_monic, _prem_monic, _reduce, _trim, discriminant
+from .polymod import (PolyModN, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce, _trim,
+                      _xpow, discriminant, poly_compose_mod)
 
 __all__ = [
     "PROBABLE_PRIME",
@@ -104,22 +105,16 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
     cs = _validate_poly(coeffs)
     d = len(cs) - 1
     remaining = _reduce(cs, n)
-    power = [0, 1 % n]  # x^(n^0)
     degrees: list[int] = []
     parts: list[tuple[int, ...]] = []
-    for _ in range(d):
+    for i in range(d):
         if len(remaining) == 1:
             # Cofactor is the constant 1: every later part is trivial.
             degrees.append(0)
             parts.append((1 % n,))
             continue
-        power = _prem_monic(power, remaining, n)
-        power = _ppow_monic(power, n, remaining, n)
-        shifted = list(power)
-        if len(shifted) < 2:
-            shifted += [0] * (2 - len(shifted))
-        shifted[1] = (shifted[1] - 1) % n
-        out = _gcmd(_trim(shifted), remaining, n)
+        power = _xpow(n, remaining, n) if i == 0 else _ppow_monic(power, n, remaining, n)
+        out = _gcmd_minus_x(power, remaining, n)
         if out[0] == "factor":
             return FactorizationStepResult(
                 True, tuple(degrees), factor_found=out[1], reason="gcmd-failed")
@@ -127,7 +122,8 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
         degrees.append(len(part) - 1)
         parts.append(tuple(part))
         quot, rem = _pdivmod_monic(remaining, part, n)
-        assert not rem, "gcmd result must divide its inputs"
+        if rem:
+            raise RuntimeError("gcmd result does not divide its inputs")
         remaining = quot if quot else [1 % n]
     if remaining != [1]:
         return FactorizationStepResult(
@@ -143,18 +139,8 @@ def frobenius_step(n: int, parts) -> FrobeniusStepResult:
         f_i = _trim(list(part))
         if i < 2 or len(f_i) < 2:
             continue
-        xn = _ppow_monic([0, 1], n, f_i, n)
-        # Horner evaluation of F_i at x^n inside Z/nZ[x]/(F_i).
-        acc: list[int] = []
-        for c in reversed(f_i):
-            acc = _prem_monic(_pmul(acc, xn, n), f_i, n)
-            if c:
-                if acc:
-                    acc[0] = (acc[0] + c) % n
-                    acc = _trim(acc)
-                else:
-                    acc = [c % n]
-        if acc:
+        image = PolyModN(tuple(_xpow(n, f_i, n)), n)
+        if not poly_compose_mod(PolyModN(tuple(f_i), n), image).is_zero:
             return FrobeniusStepResult(True, failing_index=i)
     return FrobeniusStepResult(False)
 
@@ -233,11 +219,7 @@ def splits_completely(p: int, coeffs) -> bool:
     if discriminant(cs) % p == 0:
         raise ValueError(f"{p} divides the discriminant (ramified)")
     f = _reduce(cs, p)
-    xp = _ppow_monic([0, 1], p, f, p)
-    shifted = list(xp)
-    if len(shifted) < 2:
-        shifted += [0] * (2 - len(shifted))
-    shifted[1] = (shifted[1] - 1) % p
-    out = _gcmd(_trim(shifted), f, p)
-    assert out[0] == "found", "gcmd cannot fail over a prime modulus"
+    out = _gcmd_minus_x(_xpow(p, f, p), f, p)
+    if out[0] != "found":
+        raise RuntimeError(f"gcmd failed over the prime modulus {p}")
     return len(out[1]) - 1 == d

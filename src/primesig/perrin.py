@@ -6,12 +6,15 @@ the n-th power sum of the roots of x^3 - r*x^2 + s*x - 1, which makes
 A(-n)(r, s) = A(n)(s, r) and keeps every A(n) an integer for negative n
 as well.  The classical Perrin sequence is (r, s) = (0, -1).
 
-Terms are computed by powering the 3x3 companion matrix of the cubic.
-Its determinant is 1, so the adjugate is an exact integer inverse and
-negative indices need no division.  The signature of n mod m is the
-6-tuple (A(-n-1), A(-n), A(-n+1), A(n-1), A(n), A(n+1)); an odd n whose
-signature mod n looks prime-like is sorted into one of three shapes
-(S, I, Q) matching the three splitting types of the cubic.
+Terms are computed in the ring Z/mZ[x]/(f) of the cubic f: A(k) is the
+trace of x^k, so with x^k = c0 + c1*x + c2*x^2 mod f it equals
+c0*A(0) + c1*A(1) + c2*A(2), and each further term costs one more
+multiplication by x.  Negative indices run the same computation on the
+reversed cubic x^3 - s*x^2 + r*x - 1, so no inverse is needed.  The
+signature of n mod m is the 6-tuple (A(-n-1), A(-n), A(-n+1), A(n-1),
+A(n), A(n+1)); an odd n whose signature mod n looks prime-like is sorted
+into one of three shapes (S, I, Q) matching the three splitting types of
+the cubic.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .modarith import inv_mod, jacobi, NotInvertibleError
-from .polymod import _gcmd, _ppow_monic, _reduce, _trim, discriminant
+from .polymod import _gcmd_minus_x, _xpow, discriminant
 
 __all__ = [
     "RecurrenceParams",
@@ -98,106 +101,49 @@ class SignatureClass:
 NOT_ACCEPTABLE = SignatureClass("not-acceptable")
 
 
-def _mat_mul(a, b, m):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        (a0 * b0 + a1 * b3 + a2 * b6) % m,
-        (a0 * b1 + a1 * b4 + a2 * b7) % m,
-        (a0 * b2 + a1 * b5 + a2 * b8) % m,
-        (a3 * b0 + a4 * b3 + a5 * b6) % m,
-        (a3 * b1 + a4 * b4 + a5 * b7) % m,
-        (a3 * b2 + a4 * b5 + a5 * b8) % m,
-        (a6 * b0 + a7 * b3 + a8 * b6) % m,
-        (a6 * b1 + a7 * b4 + a8 * b7) % m,
-        (a6 * b2 + a7 * b5 + a8 * b8) % m,
-    )
-
-
-def _mat_pow(mat, e, m):
-    # e >= 0; starts from the matrix itself at the top bit.
-    if e == 0:
-        one = 1 % m
-        return (one, 0, 0, 0, one, 0, 0, 0, one)
-    result = mat
-    for bit in bin(e)[3:]:
-        result = _mat_mul(result, result, m)
-        if bit == "1":
-            result = _mat_mul(result, mat, m)
-    return result
-
-
-def _mat_apply(mat, v, m):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = mat
-    v0, v1, v2 = v
-    return (
-        (a0 * v0 + a1 * v1 + a2 * v2) % m,
-        (a3 * v0 + a4 * v1 + a5 * v2) % m,
-        (a6 * v0 + a7 * v1 + a8 * v2) % m,
-    )
-
-
-def _companion(params: RecurrenceParams, m: int):
-    # Companion matrix of x^3 - r*x^2 + s*x - 1; maps
-    # (A(k-2), A(k-1), A(k)) to (A(k-1), A(k), A(k+1)).
-    mat = (0, 1 % m, 0, 0, 0, 1 % m, 1 % m, -params.s % m, params.r % m)
-    assert _mat_det(mat, m) == 1 % m
-    return mat
-
-
-def _companion_inv(params: RecurrenceParams, m: int):
-    # Adjugate of the companion matrix; exact inverse since det = 1.
-    mat = (params.s % m, -params.r % m, 1 % m, 1 % m, 0, 0, 0, 1 % m, 0)
-    assert _mat_det(mat, m) == 1 % m
-    return mat
-
-
-def _mat_det(mat, m):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = mat
-    return (a0 * (a4 * a8 - a5 * a7) - a1 * (a3 * a8 - a5 * a6)
-            + a2 * (a3 * a7 - a4 * a6)) % m
-
-
 def _base_window(params: RecurrenceParams, m: int):
     # (A(0), A(1), A(2)) mod m.
     return (3 % m, params.r % m, (params.r * params.r - 2 * params.s) % m)
 
 
+def _terms(params: RecurrenceParams, k: int, m: int, count: int) -> list[int]:
+    # A(k), ..., A(k + count - 1) mod m for k >= 0: the window dotted with
+    # x^k mod f, then with x^(k+1), ... by multiplying through by x.
+    coeffs = _xpow(k, params.poly, m)
+    c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
+    a0, a1, a2 = _base_window(params, m)
+    out = []
+    for _ in range(count):
+        out.append((c0 * a0 + c1 * a1 + c2 * a2) % m)
+        # x^3 = r*x^2 - s*x + 1 in the ring.
+        c0, c1, c2 = c2, c0 - params.s * c2, c1 + params.r * c2
+    return out
+
+
 def sequence_term(params: RecurrenceParams, k: int, m: int) -> int:
-    """A(k) mod m for any integer k, in O(log |k|) matrix products."""
+    """A(k) mod m for any integer k, from x^|k| in O(log |k|) products."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    v = _base_window(params, m)
-    if k >= 0:
-        w = _mat_pow(_companion(params, m), k, m)
-    else:
-        w = _mat_pow(_companion_inv(params, m), -k, m)
-    # First row applied to (A(0), A(1), A(2)) yields A(k).
-    return _mat_apply(w, v, m)[0]
+    if k < 0:
+        params, k = RecurrenceParams(params.s, params.r), -k
+    return _terms(params, k, m, 1)[0]
 
 
 def signature(params: RecurrenceParams, n: int, m: int) -> Signature:
-    """Signature of index n mod m from two matrix powers (n-1 and -(n+1))."""
+    """Signature of index n mod m from x^(n-1) for the cubic and its reverse."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    v = _base_window(params, m)
-    pos = _mat_apply(_mat_pow(_companion(params, m), n - 1, m), v, m)
-    neg = _mat_apply(_mat_pow(_companion_inv(params, m), n + 1, m), v, m)
-    return Signature(m, neg + pos, n)
+    pos = _terms(params, n - 1, m, 3)
+    neg = _terms(RecurrenceParams(params.s, params.r), n - 1, m, 3)
+    return Signature(m, tuple(neg[::-1] + pos), n)
 
 
 def _recover_root(params: RecurrenceParams, n: int) -> int | None:
     # Candidate root of the cubic mod n: the degree-1 part of
     # gcmd(x^n - x, f).  Anything else means no Q match.
-    f = _reduce(params.poly, n)
-    xn = _ppow_monic([0, 1], n, f, n)
-    lead = list(xn)
-    if len(lead) < 2:
-        lead += [0] * (2 - len(lead))
-    lead[1] = (lead[1] - 1) % n
-    out = _gcmd(_trim(lead), f, n)
+    out = _gcmd_minus_x(_xpow(n, params.poly, n), params.poly, n)
     if out[0] == "factor":
         log.debug("root recovery mod %d exposed factor %d", n, out[1])
         return None
@@ -226,19 +172,24 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
         if ((d_prime + d) % n == (params.r * params.s - 3) % n
                 and (d_prime - d) ** 2 % n == params.delta % n):
             return SignatureClass("I", d=d, d_prime=d_prime)
+    # Root recovery costs another power of x, so the cheap Q conditions
+    # go first.
+    if t[1] != s or t[4] != r:
+        return NOT_ACCEPTABLE
     root = _recover_root(params, n)
-    if root is not None and t[1] == s and t[4] == r:
-        try:
-            a_inv = inv_mod(root, n)
-        except NotInvertibleError as exc:
-            log.debug("root %d not invertible mod %d (gcd %d)", root, n, exc.gcd)
-            return NOT_ACCEPTABLE
-        a_sq = root * root % n
-        val_a = (a_inv * a_inv + 2 * root) % n
-        val_b = (-params.r * a_sq + (params.r * params.r - params.s) * root) % n
-        val_c = (a_sq + 2 * a_inv) % n
-        if t[0] == val_a and t[2] == val_b and t[3] == val_b and t[5] == val_c:
-            return SignatureClass("Q", a=root)
+    if root is None:
+        return NOT_ACCEPTABLE
+    try:
+        a_inv = inv_mod(root, n)
+    except NotInvertibleError as exc:
+        log.debug("root %d not invertible mod %d (gcd %d)", root, n, exc.gcd)
+        return NOT_ACCEPTABLE
+    a_sq = root * root % n
+    val_a = (a_inv * a_inv + 2 * root) % n
+    val_b = (-params.r * a_sq + (params.r * params.r - params.s) * root) % n
+    val_c = (a_sq + 2 * a_inv) % n
+    if t[0] == val_a and t[2] == val_b and t[3] == val_b and t[5] == val_c:
+        return SignatureClass("Q", a=root)
     return NOT_ACCEPTABLE
 
 
@@ -267,11 +218,8 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
         raise ValueError(f"n must be >= 2, got {n}")
     delta = params.delta
     if mode == "weak":
-        # A(n) is the trace of the n-th companion power (the power sum of
-        # the cubic's roots), so one matrix power decides the test.
-        w = _mat_pow(_companion(params, n), n, n)
-        a_pos = (w[0] + w[4] + w[8]) % n
-        passes = a_pos == params.r % n
+        # A(n) is the trace of x^n, so one power of x decides the test.
+        passes = _terms(params, n, n, 1)[0] == params.r % n
         j = jacobi(delta, n) if n % 2 else None
         return PerrinResult(passes, None, j)
     if mode == "full":

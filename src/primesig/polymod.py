@@ -7,6 +7,13 @@ except inside gcmd where leading coefficients are inverted explicitly: a
 failed inversion is not an error but a FactorFound outcome, because the
 gcd it exposes is a nontrivial factor of the modulus.
 
+This is the one engine for the rings Z/nZ[x]/(f): every power of x that
+the recurrence terms, the Frobenius stages, root recovery and splitting
+checks need comes from _xpow, and every gcmd(x^k - x, f) from
+_gcmd_minus_x.  A cubic f (the Perrin family) gets an unrolled
+square-and-shift loop; other degrees share the generic product and
+remainder.
+
 The discriminant lives here too.  It is computed over the integers (not
 mod n) as a signed resultant, so callers can reduce it by any modulus
 they like afterwards.
@@ -105,6 +112,27 @@ def _ppow_monic(g: list[int], e: int, f: list[int], n: int) -> list[int]:
     return result
 
 
+def _xpow(e: int, f: Sequence[int], n: int) -> list[int]:
+    # x**e mod monic f, deg f >= 1, e >= 0.  The unrolled cubic case is
+    # about three times faster than the generic loop, and cubics carry the
+    # census and the Perrin scans.
+    if len(f) != 4 or e == 0:
+        return _ppow_monic([0, 1], e, f, n)
+    # x^3 = c*x^2 + b*x + a in the ring.
+    a, b, c = -f[0] % n, -f[1] % n, -f[2] % n
+    p0, p1, p2 = 0, 1, 0
+    for bit in bin(e)[3:]:
+        # Square, then fold x^4 and x^3 back into degrees <= 2.
+        t4 = p2 * p2 % n
+        t3 = (2 * p1 * p2 + c * t4) % n
+        p0, p1, p2 = ((p0 * p0 + a * t3) % n,
+                      (2 * p0 * p1 + a * t4 + b * t3) % n,
+                      (p1 * p1 + 2 * p0 * p2 + b * t4 + c * t3) % n)
+        if bit == "1":
+            p0, p1, p2 = a * p2 % n, (p0 + b * p2) % n, (p1 + c * p2) % n
+    return _trim([p0, p1, p2])
+
+
 def _prem_general(a: list[int], b: list[int], n: int):
     # Remainder of a by nonzero b.  The leading coefficient of b is
     # inverted lazily, only once a reduction step actually happens, so a
@@ -154,6 +182,14 @@ def _gcmd(g: list[int], h: list[int], n: int):
         return ("factor", d)
     inv = pow(lc, -1, n)
     return ("found", [c * inv % n for c in g])
+
+
+def _gcmd_minus_x(power: list[int], f: Sequence[int], n: int):
+    # gcmd(power - x, f).  With power = x^k mod f over a prime field this
+    # is the part of squarefree f whose roots satisfy a^k = a.
+    g = list(power) + [0] * (2 - len(power))
+    g[1] -= 1
+    return _gcmd(g, f, n)
 
 
 # ---------------------------------------------------------------------------

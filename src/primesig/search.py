@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .frobenius import PROBABLE_PRIME, frobenius_test
+from .frobenius import PROBABLE_PRIME, _validate_poly, frobenius_test
 from .modarith import is_prime_baseline, jacobi
 from .perrin import RecurrenceParams, classify_signature, perrin_test, signature
 from .polymod import discriminant
@@ -54,15 +54,17 @@ class SearchSpec:
     def __post_init__(self):
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
+        # A bad spec would otherwise scan to completion with nothing flagged.
+        if self.test == "frobenius":
+            if discriminant(_validate_poly(self.poly)) == 0:
+                raise ValueError(f"polynomial {self.poly} is not squarefree")
+        elif self.test == "perrin-full" and RecurrenceParams(self.r, self.s).delta == 0:
+            raise ValueError(f"the cubic of (r, s) = ({self.r}, {self.s}) has a repeated root")
 
     def canonical(self) -> str:
         if self.test == "frobenius":
             return f"test={self.test};poly={','.join(map(str, self.poly))}"
         return f"test={self.test};rs={self.r},{self.s}"
-
-
-def _format_class(klass) -> str:
-    return str(klass)
 
 
 def _record_for(n: int, spec: SearchSpec) -> dict | None:
@@ -86,7 +88,7 @@ def _record_for(n: int, spec: SearchSpec) -> dict | None:
         # extra evidence; it is recorded, never asserted.
         if math.gcd(params.delta, n) == 1:
             klass = classify_signature(params, n, signature(params, n, n))
-            rec["class"] = _format_class(klass)
+            rec["class"] = str(klass)
         if res.jacobi_symbol is not None:
             rec["jacobi"] = str(res.jacobi_symbol)
         return rec
@@ -102,14 +104,18 @@ def _record_for(n: int, spec: SearchSpec) -> dict | None:
             "test": spec.test,
             "rs": f"{spec.r},{spec.s}",
             "verdict": "pass",
-            "class": _format_class(res.signature_class),
+            "class": str(res.signature_class),
             "jacobi": str(res.jacobi_symbol),
         }
     # frobenius
     try:
         report = frobenius_test(n, spec.poly)
     except ValueError:
-        return None  # gcd(n, f(0)*delta) = n: test does not apply
+        # The spec is valid, so only gcd(n, f(0)*delta) = n may land here:
+        # the test does not apply to n.
+        if math.gcd(n, spec.poly[0] * discriminant(spec.poly)) != n:
+            raise
+        return None
     if report.verdict != PROBABLE_PRIME:
         return None
     return {
@@ -187,6 +193,10 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
         scanned = state["scanned"]
         flagged = state["flagged"]
         offset = state["bytes_written"]
+        if os.path.getsize(out_path) < offset:
+            raise CheckpointMismatch(
+                f"{out_path} is shorter than the {offset} bytes the checkpoint "
+                "recorded; refusing to resume")
         out = open(out_path, "r+b")
         out.truncate(offset)
         out.seek(offset)

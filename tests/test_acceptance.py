@@ -201,7 +201,7 @@ def test_acceptance_05_matrix_power_equals_direct_recurrence():
             checked += 1
     dt = time.perf_counter() - t0
     ok = not bad and dt < 60
-    _report(5, "matrix powers match stepping for m in [2,500], k in [-200,200]",
+    _report(5, "powers of x match stepping for m in [2,500], k in [-200,200]",
             ok, f"{checked} terms, {len(bad)} mismatches, {dt:.1f}s of 60s")
     assert not bad, bad[:5]
     assert dt < 60

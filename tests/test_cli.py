@@ -103,6 +103,20 @@ def test_search_cli_roundtrip(tmp_path):
     assert out.read_bytes() == blob
 
 
+@pytest.mark.parametrize("args", [
+    ["--test", "frobenius", "--poly=1,2,1"],  # (x + 1)^2
+    ["--test", "frobenius", "--poly=5,1"],  # degree 1
+    ["--test", "frobenius", "--poly=1,0,2"],  # not monic
+    ["--test", "perrin-full", "--rs=3,3"],  # (x - 1)^3
+])
+def test_search_bad_spec_exits_one_before_scanning(tmp_path, capsys, args):
+    out = tmp_path / "x.jsonl"
+    rc = main(["search", "--from", "3", "--to", "3000", *args, "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_resume_without_checkpoint_fails(tmp_path, capsys):
     rc = main([
         "search", "--from", "3", "--to", "100", "--test", "perrin-weak",

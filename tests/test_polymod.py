@@ -13,6 +13,8 @@ from primesig import (
     poly_rem,
 )
 
+from primesig.polymod import _ppow_monic, _xpow
+
 from oracles import discriminant_by_sylvester, random_monic, sieve
 
 PRIMES_TO_200 = [p for p in range(2, 201) if sieve(200)[p]]
@@ -79,6 +81,18 @@ def test_poly_powmod_matches_repeated_multiplication():
                     raw[i + j] += a * b
             expected = poly_rem(P(raw, n), f)
         assert poly_powmod(g, e, f).coeffs == expected.coeffs
+
+
+def test_xpow_matches_generic_powmod():
+    # Cubics take the unrolled kernel, every other degree the generic
+    # loop; both must agree with the generic square-and-multiply.
+    rng = random.Random(37)
+    for degree in (3, 3, 3, 1, 2, 4, 5):
+        for _ in range(40):
+            n = rng.randint(2, 1 << rng.choice((8, 64, 140)))
+            f = [rng.randrange(n) for _ in range(degree)] + [1]
+            e = rng.choice((0, 1, 2, 3, rng.randint(0, 1 << 140)))
+            assert _xpow(e, f, n) == _ppow_monic([0, 1], e, f, n), (degree, n, e)
 
 
 def test_gcmd_examples():

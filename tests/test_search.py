@@ -142,6 +142,23 @@ def test_resume_truncates_trailing_garbage(tmp_path):
     assert part.read_bytes() == full.read_bytes()
 
 
+def test_resume_refuses_short_file(tmp_path):
+    # Truncating forward would pad the gap with NUL bytes.
+    spec = SearchSpec("frobenius", poly=(1, 0, 1))
+    part, ckpt, _ = run(
+        tmp_path, "short", start=3, stop=4000, spec=spec, block_size=400,
+        stop_after_blocks=4,
+    )
+    assert json.loads(ckpt.read_text())["bytes_written"] > 0
+    part.write_bytes(b"")
+    with pytest.raises(CheckpointMismatch):
+        run_range_search(
+            3, 4000, spec, out_path=str(part), checkpoint_path=str(ckpt),
+            resume=True, block_size=400,
+        )
+    assert part.read_bytes() == b""
+
+
 def test_resume_refuses_different_parameters(tmp_path):
     spec = SearchSpec("perrin-weak")
     out, ckpt, _ = run(
