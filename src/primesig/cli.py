@@ -21,7 +21,7 @@ from .carmichael import korselt
 from .constructor import PRESETS, ConstructionParams, construct
 from .frobenius import frobenius_test
 from .modarith import jacobi
-from .perrin import RecurrenceParams, perrin_test, signature
+from .perrin import RecurrenceParams, perrin_test
 from .polymod import discriminant
 from .search import DEFAULT_BLOCK_SIZE, SearchSpec, run_range_search
 
@@ -35,19 +35,22 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _rs_and_poly(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The --rs and --poly values, or their defaults.
+    rs = (0, -1)
+    if args.rs:
+        rs = _parse_int_list(args.rs)
+        if len(rs) != 2:
+            raise ValueError(f"--rs wants two integers, got {args.rs!r}")
+    poly = _parse_int_list(args.poly) if args.poly else (-1, -1, 0, 1)
+    return rs, poly
+
+
 def _spec_from_args(args) -> SearchSpec:
-    if args.test in ("perrin-weak", "perrin-full"):
-        r, s = (0, -1)
-        if args.rs:
-            parsed = _parse_int_list(args.rs)
-            if len(parsed) != 2:
-                raise ValueError(f"--rs wants two integers, got {args.rs!r}")
-            r, s = parsed
-        return SearchSpec(args.test, r=r, s=s)
-    poly = (-1, -1, 0, 1)
-    if args.poly:
-        poly = _parse_int_list(args.poly)
-    return SearchSpec(args.test, poly=poly)
+    (r, s), poly = _rs_and_poly(args)
+    if args.test == "frobenius":
+        return SearchSpec(args.test, poly=poly)
+    return SearchSpec(args.test, r=r, s=s)
 
 
 def _cmd_search(args) -> int:
@@ -100,8 +103,7 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
         print(f"n = {n}, sequence parameters (r, s) = ({params.r}, {params.s}), "
               f"discriminant {params.delta}", file=out)
         if test == "perrin-full":
-            sig = signature(params, n, n)
-            print(f"signature {sig.values}", file=out)
+            print(f"signature {res.signature.values}", file=out)
             print(f"class {res.signature_class}, jacobi {res.jacobi_symbol}", file=out)
             record["class"] = str(res.signature_class)
         if res.jacobi_symbol is not None:
@@ -136,15 +138,7 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
 
 
 def _cmd_verify(args) -> int:
-    rs = (0, -1)
-    if args.rs:
-        parsed = _parse_int_list(args.rs)
-        if len(parsed) != 2:
-            raise ValueError(f"--rs wants two integers, got {args.rs!r}")
-        rs = parsed
-    poly = (-1, -1, 0, 1)
-    if args.poly:
-        poly = _parse_int_list(args.poly)
+    rs, poly = _rs_and_poly(args)
     verify_number(args.n, args.test, rs=rs, poly=poly)
     return 0
 

@@ -9,12 +9,13 @@ as well.  The classical Perrin sequence is (r, s) = (0, -1).
 Terms are computed in the ring Z/mZ[x]/(f) of the cubic f: A(k) is the
 trace of x^k, so with x^k = c0 + c1*x + c2*x^2 mod f it equals
 c0*A(0) + c1*A(1) + c2*A(2), and each further term costs one more
-multiplication by x.  Negative indices run the same computation on the
-reversed cubic x^3 - s*x^2 + r*x - 1, so no inverse is needed.  The
-signature of n mod m is the 6-tuple (A(-n-1), A(-n), A(-n+1), A(n-1),
-A(n), A(n+1)); an odd n whose signature mod n looks prime-like is sorted
-into one of three shapes (S, I, Q) matching the three splitting types of
-the cubic.
+multiplication by x.  A single negative index runs the same computation
+on the reversed cubic x^3 - s*x^2 + r*x - 1, so no inverse is needed.
+The signature of n mod m is the 6-tuple (A(-n-1), A(-n), A(-n+1),
+A(n-1), A(n), A(n+1)).  It costs one power, x^(n-1), and one squaring:
+since the roots multiply to 1, A(-k) = (A(k)^2 - A(2k))/2.  An odd n
+whose signature mod n looks prime-like is sorted into one of three
+shapes (S, I, Q) matching the three splitting types of the cubic.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modarith import inv_mod, jacobi, NotInvertibleError
-from .polymod import _gcmd_minus_x, _xpow, discriminant
+from .polymod import _discriminant, _gcmd_minus_x, _ppow_monic, _xpow
 
 __all__ = [
     "RecurrenceParams",
@@ -42,11 +42,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@lru_cache(maxsize=None)
-def _cubic_discriminant(r: int, s: int) -> int:
-    return discriminant((-1, s, -r, 1))
-
-
 @dataclass(frozen=True)
 class RecurrenceParams:
     """Parameters (r, s) of the cubic x^3 - r*x^2 + s*x - 1."""
@@ -61,8 +56,9 @@ class RecurrenceParams:
 
     @property
     def delta(self) -> int:
-        # Always recomputed from the cubic; never stored independently.
-        return _cubic_discriminant(self.r, self.s)
+        # Always taken from the cubic, through the one discriminant memo
+        # (poly is already a trimmed tuple); never stored independently.
+        return _discriminant(self.poly)
 
 
 PERRIN = RecurrenceParams(0, -1)
@@ -106,10 +102,9 @@ def _base_window(params: RecurrenceParams, m: int):
     return (3 % m, params.r % m, (params.r * params.r - 2 * params.s) % m)
 
 
-def _terms(params: RecurrenceParams, k: int, m: int, count: int) -> list[int]:
-    # A(k), ..., A(k + count - 1) mod m for k >= 0: the window dotted with
-    # x^k mod f, then with x^(k+1), ... by multiplying through by x.
-    coeffs = _xpow(k, params.poly, m)
+def _terms(params: RecurrenceParams, coeffs: list[int], m: int, count: int) -> list[int]:
+    # A(k), ..., A(k + count - 1) mod m from coeffs = x^k mod f: the window
+    # dotted with x^k, then with x^(k+1), ... by multiplying through by x.
     c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
     a0, a1, a2 = _base_window(params, m)
     out = []
@@ -126,18 +121,27 @@ def sequence_term(params: RecurrenceParams, k: int, m: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if k < 0:
         params, k = RecurrenceParams(params.s, params.r), -k
-    return _terms(params, k, m, 1)[0]
+    return _terms(params, _xpow(k, params.poly, m), m, 1)[0]
 
 
 def signature(params: RecurrenceParams, n: int, m: int) -> Signature:
-    """Signature of index n mod m from x^(n-1) for the cubic and its reverse."""
+    """Signature of index n mod m from the one power x^(n-1).
+
+    The roots multiply to 1, so A(-k) is the second elementary symmetric
+    function of the k-th powers of the roots: A(-k) = (A(k)^2 - A(2k))/2.
+    Terms are taken mod 2m, where the halving is exact for every m.
+    """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    pos = _terms(params, n - 1, m, 3)
-    neg = _terms(RecurrenceParams(params.s, params.r), n - 1, m, 3)
-    return Signature(m, tuple(neg[::-1] + pos), n)
+    m2 = 2 * m
+    power = _xpow(n - 1, params.poly, m2)
+    pos = _terms(params, power, m2, 3)
+    # A(2n-2), ..., A(2n+2) from x^(2n-2), one squaring away.
+    dbl = _terms(params, _ppow_monic(power, 2, params.poly, m2), m2, 5)
+    neg = [(a * a - b) % m2 // 2 for a, b in zip(pos, dbl[::2])]
+    return Signature(m, tuple(neg[::-1] + [a % m for a in pos]), n)
 
 
 def _recover_root(params: RecurrenceParams, n: int) -> int | None:
@@ -196,11 +200,13 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
 @dataclass(frozen=True)
 class PerrinResult:
     """Outcome of perrin_test: overall pass flag, the signature class
-    (full mode only) and the Jacobi symbol of the discriminant (odd n)."""
+    (full mode only), the Jacobi symbol of the discriminant (odd n) and
+    the signature mod n it was classified from (full mode only)."""
 
     passes: bool
     signature_class: SignatureClass | None
     jacobi_symbol: int | None
+    signature: Signature | None = None
 
 
 def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinResult:
@@ -219,7 +225,7 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
     delta = params.delta
     if mode == "weak":
         # A(n) is the trace of x^n, so one power of x decides the test.
-        passes = _terms(params, n, n, 1)[0] == params.r % n
+        passes = _terms(params, _xpow(n, params.poly, n), n, 1)[0] == params.r % n
         j = jacobi(delta, n) if n % 2 else None
         return PerrinResult(passes, None, j)
     if mode == "full":
@@ -231,5 +237,5 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
         klass = classify_signature(params, n, sig)
         j = jacobi(delta, n)
         passes = (j == 1 and klass.kind in ("S", "I")) or (j == -1 and klass.kind == "Q")
-        return PerrinResult(passes, klass, j)
+        return PerrinResult(passes, klass, j, sig)
     raise ValueError(f"unknown mode {mode!r}; expected 'weak' or 'full'")

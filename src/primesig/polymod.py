@@ -10,19 +10,22 @@ gcd it exposes is a nontrivial factor of the modulus.
 This is the one engine for the rings Z/nZ[x]/(f): every power of x that
 the recurrence terms, the Frobenius stages, root recovery and splitting
 checks need comes from _xpow, and every gcmd(x^k - x, f) from
-_gcmd_minus_x.  A cubic f (the Perrin family) gets an unrolled
-square-and-shift loop; other degrees share the generic product and
+_gcmd_minus_x.  A cubic f (the Perrin family) gets unrolled
+square-and-multiply kernels, one for x^e (where multiplying is a shift)
+and one for g^e with any g; other degrees share the generic product and
 remainder.
 
 The discriminant lives here too.  It is computed over the integers (not
 mod n) as a signed resultant, so callers can reduce it by any modulus
-they like afterwards.
+they like afterwards.  It is memoised per polynomial, since a scan asks
+for the same one at every n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 __all__ = [
@@ -97,13 +100,16 @@ def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[
     return _trim(q), _trim(r)
 
 
-def _ppow_monic(g: list[int], e: int, f: list[int], n: int) -> list[int]:
-    # g**e mod f for monic f, deg f >= 1, e >= 0.
+def _ppow_monic(g: list[int], e: int, f: Sequence[int], n: int) -> list[int]:
+    # g**e mod monic f, deg f >= 1, e >= 0.  Cubics take the unrolled
+    # kernel, which carries the later Frobenius rounds and the signature.
     g = _prem_monic(g, f, n)
     if e == 0:
         return [1 % n]
     if not g:
         return []
+    if len(f) == 4:
+        return _cubic_pow(g + [0] * (3 - len(g)), e, f, n)
     result = g
     for bit in bin(e)[3:]:
         result = _prem_monic(_pmul(result, result, n), f, n)
@@ -118,9 +124,15 @@ def _xpow(e: int, f: Sequence[int], n: int) -> list[int]:
     # census and the Perrin scans.
     if len(f) != 4 or e == 0:
         return _ppow_monic([0, 1], e, f, n)
+    return _cubic_pow(None, e, f, n)
+
+
+def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[int]:
+    # g**e mod monic cubic f for e >= 1, g = [g0, g1, g2] reduced mod n.
+    # g = None stands for x, whose multiply step is a shift.
     # x^3 = c*x^2 + b*x + a in the ring.
     a, b, c = -f[0] % n, -f[1] % n, -f[2] % n
-    p0, p1, p2 = 0, 1, 0
+    p0, p1, p2 = g0, g1, g2 = g if g is not None else (0, 1, 0)
     for bit in bin(e)[3:]:
         # Square, then fold x^4 and x^3 back into degrees <= 2.
         t4 = p2 * p2 % n
@@ -129,7 +141,15 @@ def _xpow(e: int, f: Sequence[int], n: int) -> list[int]:
                       (2 * p0 * p1 + a * t4 + b * t3) % n,
                       (p1 * p1 + 2 * p0 * p2 + b * t4 + c * t3) % n)
         if bit == "1":
-            p0, p1, p2 = a * p2 % n, (p0 + b * p2) % n, (p1 + c * p2) % n
+            if g is None:
+                p0, p1, p2 = a * p2 % n, (p0 + b * p2) % n, (p1 + c * p2) % n
+            else:
+                # The 3x3 product, folded the same way.
+                t4 = p2 * g2 % n
+                t3 = (p1 * g2 + p2 * g1 + c * t4) % n
+                p0, p1, p2 = ((p0 * g0 + a * t3) % n,
+                              (p0 * g1 + p1 * g0 + a * t4 + b * t3) % n,
+                              (p0 * g2 + p1 * g1 + p2 * g0 + b * t4 + c * t3) % n)
     return _trim([p0, p1, p2])
 
 
@@ -364,12 +384,17 @@ def discriminant(coeffs: Sequence[int]) -> int:
     Exact integer value: (-1)**(d*(d-1)/2) times the resultant of f and
     its derivative (the leading coefficient is 1, so no further division).
     """
-    cs = _trim([int(c) for c in coeffs])
+    return _discriminant(tuple(_trim([int(c) for c in coeffs])))
+
+
+@lru_cache(maxsize=64)
+def _discriminant(cs: tuple[int, ...]) -> int:
+    # lru_cache does not store exceptions, so bad input raises every time.
     d = len(cs) - 1
     if d < 2:
         raise ValueError("discriminant requires degree >= 2")
     if cs[-1] != 1:
         raise ValueError("polynomial must be monic")
     deriv = [i * cs[i] for i in range(1, d + 1)]
-    res = _resultant(cs, deriv)
+    res = _resultant(list(cs), deriv)
     return -res if (d * (d - 1) // 2) % 2 else res

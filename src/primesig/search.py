@@ -9,11 +9,13 @@ boundaries.
 
 The range is cut into fixed-size blocks (default 2**16).  Workers scan
 blocks in parallel but the parent writes results strictly in block
-order, then advances the checkpoint atomically (write to a side file,
-rename over).  The checkpoint stores a hash of the search parameters so
-a resume against different parameters fails loudly, plus the byte offset
-of the output file, to which the file is truncated on resume so a kill
-mid-block cannot leave half-written lines behind.
+order, then advances the checkpoint atomically (fsync the records, write
+and fsync a side file, rename over), so a crash cannot leave a
+checkpoint that counts records the disk never got.  The checkpoint
+stores a hash of the search parameters so a resume against different
+parameters fails loudly, plus the byte offset of the output file, to
+which the file is truncated on resume so a kill mid-block cannot leave
+half-written lines behind.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def _write_checkpoint(path: str, state: dict) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(state, fh)
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -206,6 +210,8 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
     def checkpoint(blocks_done: int) -> None:
         if checkpoint_path is None:
             return
+        # The records must be on disk before a checkpoint that counts them.
+        os.fsync(out.fileno())
         _write_checkpoint(checkpoint_path, {
             "version": 1,
             "hash": digest,

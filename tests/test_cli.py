@@ -75,6 +75,24 @@ def test_verify_number_function_returns_record():
     assert "jacobi stage" in sink.getvalue()
 
 
+def test_verify_perrin_full_computes_one_signature(monkeypatch):
+    from primesig import cli, perrin
+
+    real = perrin.signature
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perrin, "signature", counting)
+    monkeypatch.setattr(cli, "signature", counting, raising=False)
+    sink = io.StringIO()
+    verify_number(271441, "perrin-full", out=sink)
+    assert len(calls) == 1
+    assert f"signature {real(perrin.PERRIN, 271441, 271441).values}" in sink.getvalue()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -133,6 +134,42 @@ def test_agrees_with_naive_twin():
             except ValueError:
                 other = "rejected"
             assert mine == other, (n, coeffs)
+
+
+def test_agrees_with_naive_twin_at_large_n():
+    # Odd composites of 100-140 bits take rounds 2 and 3 of the
+    # factorization stage (the cubic g**e kernel) far above the range
+    # the small slice covers.
+    rng = random.Random(61)
+
+    def fermat_prime(bits):
+        while True:
+            p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            if pow(2, p - 1, p) == 1:
+                return p
+
+    # Products of two or three large probable primes, where no small
+    # factor ends the test before round 3, and products of random odd
+    # numbers, whose small factors make a gcmd fail in some round.
+    cases = [math.prod(fermat_prime(bits // parts) for _ in range(parts))
+             for bits, parts in ((rng.randint(100, 140), 2 + i % 2) for i in range(16))]
+    cases += [(rng.randrange(1 << 50, 1 << 70) | 1) * (rng.randrange(1 << 50, 1 << 70) | 1)
+              for _ in range(16)]
+    full_rounds = 0
+    seen = set()
+    for n in cases:
+        for coeffs in (CUBIC, (-2, 0, 0, 1)):
+            mine = frobenius_test(n, coeffs)
+            verdict, degrees = naive_frobenius(n, coeffs)
+            assert mine.verdict == verdict, (n, coeffs)
+            if degrees is None:
+                assert mine.stage in ("precondition", "factorization"), (n, coeffs)
+            else:
+                assert mine.stage not in ("precondition", "factorization"), (n, coeffs)
+                assert mine.degrees == degrees, (n, coeffs)
+            full_rounds += len(mine.degrees) == 3
+            seen.add(mine.degrees)
+    assert full_rounds >= 32 and (0,) in seen
 
 
 def test_frobenius_flag_implies_weak_perrin_small():

@@ -92,10 +92,15 @@ def test_signature_examples():
 
 def test_signature_matches_stepping_oracle():
     rng = random.Random(29)
-    for _ in range(40):
-        r, s = rng.randint(-6, 6), rng.randint(-6, 6)
-        n = rng.randint(1, 200)
-        m = rng.randint(2, 400)
+    cases = [(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 200), rng.randint(2, 400))
+             for _ in range(40)]
+    # The negative half is halved mod 2m: even moduli, m = 2, a cubic with
+    # a triple root ((3, 3): (x - 1)^3) and x^3 - 1 ((0, 0)).
+    cases += [(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 200), m)
+              for m in (2, 2, 4, 8, 12, 64, 96, 250, 256)]
+    cases += [(r, s, n, m) for r, s in ((3, 3), (0, 0))
+              for n in (1, 2, 3, 17, 128, 199) for m in (2, 3, 9, 16, 101)]
+    for r, s, n, m in cases:
         window = recurrence_window(r, s, -n - 1, n + 1, m)
         expected = (
             window[-n - 1],
@@ -108,6 +113,20 @@ def test_signature_matches_stepping_oracle():
         sig = signature(RecurrenceParams(r, s), n, m)
         assert sig.values == expected
         assert sig.modulus == m and sig.index == n
+
+
+def test_signature_negative_half_matches_reversed_cubic():
+    # Near 2^100 the stepping oracle is out of reach; the reversed-cubic
+    # route of sequence_term checks the (A(k)^2 - A(2k))/2 derivation.
+    rng = random.Random(53)
+    for r, s in ((0, -1), (1, -1), (3, 3), (0, 0), (-4, 7)):
+        for _ in range(4):
+            n = (1 << 100) + rng.randrange(1 << 96)
+            m = rng.choice((2, 6, 1 << 61, n, rng.randrange(3, 1 << 130)))
+            params = RecurrenceParams(r, s)
+            values = signature(params, n, m).values
+            assert values[:3] == tuple(sequence_term(params, -k, m) for k in (n + 1, n, n - 1))
+            assert values[3:] == tuple(sequence_term(params, k, m) for k in (n - 1, n, n + 1))
 
 
 def test_classify_worked_examples():

@@ -15,6 +15,7 @@ from primesig import (
 
 from primesig.polymod import _ppow_monic, _xpow
 
+from naive_frobenius import _powmod as naive_powmod
 from oracles import discriminant_by_sylvester, random_monic, sieve
 
 PRIMES_TO_200 = [p for p in range(2, 201) if sieve(200)[p]]
@@ -84,8 +85,8 @@ def test_poly_powmod_matches_repeated_multiplication():
 
 
 def test_xpow_matches_generic_powmod():
-    # Cubics take the unrolled kernel, every other degree the generic
-    # loop; both must agree with the generic square-and-multiply.
+    # Cubics take the shift kernel here and the general cubic kernel in
+    # _ppow_monic; every other degree takes the generic loop in both.
     rng = random.Random(37)
     for degree in (3, 3, 3, 1, 2, 4, 5):
         for _ in range(40):
@@ -93,6 +94,24 @@ def test_xpow_matches_generic_powmod():
             f = [rng.randrange(n) for _ in range(degree)] + [1]
             e = rng.choice((0, 1, 2, 3, rng.randint(0, 1 << 140)))
             assert _xpow(e, f, n) == _ppow_monic([0, 1], e, f, n), (degree, n, e)
+
+
+def test_ppow_monic_cubic_matches_naive_powmod():
+    # The unrolled cubic g**e kernel against the dict-polynomial oracle,
+    # including even moduli, n = 2, g = 0 and the smallest exponents.
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.choice((2, 4, rng.randint(3, 1 << 20), rng.randint(3, 1 << 140)))
+        if rng.random() < 0.2:
+            n += n % 2  # even
+        f = [rng.randrange(n) for _ in range(3)] + [1]
+        g = rng.choice(([], [0, 0, 0], [rng.randrange(n) for _ in range(rng.randint(1, 5))]))
+        e = rng.choice((0, 1, 2, rng.randint(3, 100), rng.randint(0, 1 << 140)))
+        ref = naive_powmod({d: c for d, c in enumerate(g) if c % n}, e,
+                           {d: c for d, c in enumerate(f) if c}, n)
+        ref = {d: c % n for d, c in ref.items() if c % n}
+        expected = [ref.get(d, 0) for d in range(max(ref) + 1)] if ref else []
+        assert _ppow_monic(g, e, f, n) == expected, (n, f, g, e)
 
 
 def test_gcmd_examples():
@@ -186,6 +205,10 @@ def test_discriminant_rejects_degenerate_input():
         discriminant((0, 0, 2))  # not monic
     with pytest.raises(ValueError):
         discriminant((5,))
+    # Memoised results must not swallow a repeated bad call.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            discriminant((0, 0, 2, 0))
 
 
 def test_discriminant_matches_sylvester_oracle():

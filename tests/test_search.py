@@ -159,6 +159,41 @@ def test_resume_refuses_short_file(tmp_path):
     assert part.read_bytes() == b""
 
 
+def test_checkpoint_fsyncs_data_then_side_file_before_rename(tmp_path, monkeypatch):
+    import os
+
+    from primesig import search
+
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(search.os, "fsync", fsync)
+    monkeypatch.setattr(search.os, "replace", replace)
+    spec = SearchSpec("perrin-weak")
+    out, ckpt, _ = run(tmp_path, "sync", start=3, stop=3000, spec=spec, block_size=1000)
+    data = os.stat(out).st_ino
+    # Each block: the records, then the side file, then the rename of
+    # that same side file over the checkpoint.
+    assert len(events) == 3 * 3
+    for i in range(0, len(events), 3):
+        (a, ino_a), (b, ino_b), (c, ino_c) = events[i:i + 3]
+        assert (a, b, c) == ("fsync", "fsync", "replace")
+        assert ino_a == data and ino_b == ino_c != data
+    assert os.stat(ckpt).st_ino == events[-1][1]
+
+    events.clear()
+    run_range_search(3, 3000, spec, out_path=str(tmp_path / "plain.jsonl"), block_size=1000)
+    assert events == []
+
+
 def test_resume_refuses_different_parameters(tmp_path):
     spec = SearchSpec("perrin-weak")
     out, ckpt, _ = run(
