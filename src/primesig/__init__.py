@@ -43,7 +43,6 @@ from .modarith import (
     inv_mod,
     is_prime_baseline,
     jacobi,
-    pow_mod,
 )
 from .perrin import (
     NOT_ACCEPTABLE,
@@ -57,17 +56,7 @@ from .perrin import (
     sequence_term,
     signature,
 )
-from .polymod import (
-    FactorFound,
-    Found,
-    GcmdOutcome,
-    PolyModN,
-    discriminant,
-    gcmd,
-    poly_compose_mod,
-    poly_powmod,
-    poly_rem,
-)
+from .polymod import discriminant
 from .search import DEFAULT_BLOCK_SIZE, SearchSpec, run_range_search
 
 __version__ = "0.1.0"

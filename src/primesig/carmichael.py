@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .frobenius import splits_completely
 from .modarith import Factorization, factorize
-from .polymod import _trim, discriminant
+from .polymod import _require_monic, discriminant
 
 __all__ = [
     "KorseltCertificate",
@@ -99,9 +99,7 @@ def carmichael_frobenius(n: int, coeffs, budget: int = 4_000_000) -> CarmichaelF
     A ramified prime (dividing the discriminant of f) does not split,
     so it yields a negative answer with evidence rather than an error.
     """
-    cs = _trim([int(c) for c in coeffs])
-    if not cs or cs[-1] != 1 or len(cs) < 2:
-        raise ValueError("polynomial must be monic of degree >= 1")
+    cs = _require_monic(coeffs, 1)
     cert = korselt(n, budget=budget)
     if not cert.validates:
         return CarmichaelFrobeniusResult(False, cert, (), cert.failure_reason)

@@ -106,8 +106,13 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             print(f"signature {res.signature.values}", file=out)
             print(f"class {res.signature_class}, jacobi {res.jacobi_symbol}", file=out)
             record["class"] = str(res.signature_class)
-        if res.jacobi_symbol is not None:
-            record["jacobi"] = str(res.jacobi_symbol)
+        # Weak mode leaves the symbol out for an odd n that fails; the
+        # record still carries it for every odd n.
+        j = res.jacobi_symbol
+        if j is None and n % 2:
+            j = jacobi(params.delta, n)
+        if j is not None:
+            record["jacobi"] = str(j)
         print(f"{test}: {'pass' if res.passes else 'fail'}", file=out)
     elif test == "frobenius":
         report = frobenius_test(n, poly)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .carmichael import korselt, KorseltCertificate
 from .frobenius import splits_completely
 from .modarith import factorize, inv_mod, is_prime_baseline
-from .polymod import _trim, discriminant
+from .polymod import _require_monic, _trim, discriminant
 
 __all__ = [
     "ConstructionParams",
@@ -73,9 +73,9 @@ class ConstructionParams:
         return issues
 
     def validate(self) -> None:
-        cs = _trim(list(self.poly))
-        if not cs or cs[-1] != 1 or len(cs) < 2:
-            raise ValueError("poly must be monic of degree >= 1")
+        cs = _require_monic(self.poly, 1)
+        if len(cs) > 2 and discriminant(cs) == 0:
+            raise ValueError(f"poly {self.poly} is not squarefree")
         if self.k_min < 1:
             raise ValueError("k_min must be >= 1")
         if self.x_bound < 3:
@@ -172,9 +172,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    cs = _trim([int(c) for c in poly])
-    if not cs or cs[-1] != 1 or len(cs) < 2:
-        raise ValueError("poly must be monic of degree >= 1")
+    cs = _require_monic(poly, 1)
     delta = discriminant(cs) if len(cs) > 2 else None
     divs = _divisors(L)
     best: tuple[int, list[int]] | None = None

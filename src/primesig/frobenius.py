@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .modarith import is_prime_baseline, jacobi
-from .polymod import (PolyModN, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce, _trim,
-                      _xpow, discriminant, poly_compose_mod)
+from .polymod import (_compose_mod, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce,
+                      _require_monic, _trim, _xpow, discriminant)
 
 __all__ = [
     "PROBABLE_PRIME",
@@ -84,15 +84,6 @@ class JacobiStepResult:
     reason: str | None = None
 
 
-def _validate_poly(coeffs) -> list[int]:
-    cs = _trim([int(c) for c in coeffs])
-    if len(cs) < 3:
-        raise ValueError("polynomial must have degree >= 2")
-    if cs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    return cs
-
-
 def factorization_step(n: int, coeffs) -> FactorizationStepResult:
     """Split f mod n by iterated gcmd with x^(n^i) - x.
 
@@ -102,7 +93,7 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and > 1, got {n}")
-    cs = _validate_poly(coeffs)
+    cs = _require_monic(coeffs, 2)
     d = len(cs) - 1
     remaining = _reduce(cs, n)
     degrees: list[int] = []
@@ -139,8 +130,7 @@ def frobenius_step(n: int, parts) -> FrobeniusStepResult:
         f_i = _trim(list(part))
         if i < 2 or len(f_i) < 2:
             continue
-        image = PolyModN(tuple(_xpow(n, f_i, n)), n)
-        if not poly_compose_mod(PolyModN(tuple(f_i), n), image).is_zero:
+        if _compose_mod(f_i, _xpow(n, f_i, n), n):
             return FrobeniusStepResult(True, failing_index=i)
     return FrobeniusStepResult(False)
 
@@ -172,7 +162,7 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
     strictly between 1 and n is itself composite evidence, while
     gcd = n means the test does not apply and raises ValueError.
     """
-    cs = _validate_poly(coeffs)
+    cs = _require_monic(coeffs, 2)
     delta = discriminant(cs)
     if delta == 0:
         raise ValueError("polynomial must be squarefree over the integers")
@@ -208,12 +198,8 @@ def splits_completely(p: int, coeffs) -> bool:
     """
     if not is_prime_baseline(p):
         raise ValueError(f"{p} is not prime")
-    cs = _trim([int(c) for c in coeffs])
-    if not cs or cs[-1] != 1:
-        raise ValueError("polynomial must be monic")
+    cs = _require_monic(coeffs, 1)
     d = len(cs) - 1
-    if d < 1:
-        raise ValueError("polynomial must have degree >= 1")
     if d == 1:
         return True
     if discriminant(cs) % p == 0:

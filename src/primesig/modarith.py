@@ -11,7 +11,6 @@ __all__ = [
     "BudgetExceededError",
     "Factorization",
     "jacobi",
-    "pow_mod",
     "inv_mod",
     "is_prime_baseline",
     "factorize",
@@ -79,15 +78,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def pow_mod(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for modulus >= 2 (exponent >= 0)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError("negative exponent; use inv_mod first")
-    return pow(base, exponent, modulus)
 
 
 def inv_mod(a: int, n: int) -> int:

@@ -200,8 +200,10 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
 @dataclass(frozen=True)
 class PerrinResult:
     """Outcome of perrin_test: overall pass flag, the signature class
-    (full mode only), the Jacobi symbol of the discriminant (odd n) and
-    the signature mod n it was classified from (full mode only)."""
+    (full mode only), the Jacobi symbol of the discriminant and the
+    signature mod n it was classified from (full mode only).  Full mode
+    always carries the symbol; weak mode only for an odd n that passes,
+    since only flagged n are recorded with it."""
 
     passes: bool
     signature_class: SignatureClass | None
@@ -222,13 +224,13 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    delta = params.delta
     if mode == "weak":
         # A(n) is the trace of x^n, so one power of x decides the test.
         passes = _terms(params, _xpow(n, params.poly, n), n, 1)[0] == params.r % n
-        j = jacobi(delta, n) if n % 2 else None
+        j = jacobi(params.delta, n) if passes and n % 2 else None
         return PerrinResult(passes, None, j)
     if mode == "full":
+        delta = params.delta
         if n % 2 == 0:
             raise ValueError(f"full mode requires odd n, got {n}")
         if math.gcd(delta, n) != 1:

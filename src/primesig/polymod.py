@@ -1,11 +1,11 @@
 """Polynomial arithmetic over Z/nZ for composite as well as prime n.
 
-Polynomials are coefficient sequences, lowest degree first, every
+Polynomials are coefficient lists, lowest degree first, every
 coefficient reduced into [0, n), no trailing zeros; the zero polynomial is
-the empty sequence.  Remainders are only ever taken by monic divisors,
-except inside gcmd where leading coefficients are inverted explicitly: a
-failed inversion is not an error but a FactorFound outcome, because the
-gcd it exposes is a nontrivial factor of the modulus.
+the empty list.  Remainders are only ever taken by monic divisors,
+except inside _gcmd where leading coefficients are inverted explicitly: a
+failed inversion is not an error but the outcome ("factor", d), because
+the gcd d it exposes is a nontrivial factor of the modulus.
 
 This is the one engine for the rings Z/nZ[x]/(f): every power of x that
 the recurrence terms, the Frobenius stages, root recovery and splitting
@@ -13,7 +13,8 @@ checks need comes from _xpow, and every gcmd(x^k - x, f) from
 _gcmd_minus_x.  A cubic f (the Perrin family) gets unrolled
 square-and-multiply kernels, one for x^e (where multiplying is a shift)
 and one for g^e with any g; other degrees share the generic product and
-remainder.
+remainder.  _require_monic is the one check that an integer polynomial
+from a caller is monic of a given minimum degree.
 
 The discriminant lives here too.  It is computed over the integers (not
 mod n) as a signed resultant, so callers can reduce it by any modulus
@@ -24,26 +25,16 @@ for the same one at every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
-__all__ = [
-    "PolyModN",
-    "Found",
-    "FactorFound",
-    "GcmdOutcome",
-    "poly_rem",
-    "poly_powmod",
-    "gcmd",
-    "poly_compose_mod",
-    "discriminant",
-]
+__all__ = ["discriminant"]
 
 
 # ---------------------------------------------------------------------------
-# Raw coefficient-list helpers.  These skip validation and are shared with
-# the hot loops in the sequence and Frobenius engines.
+# Coefficient-list helpers.  Apart from _require_monic these skip
+# validation; they are shared with the hot loops in the sequence and
+# Frobenius engines.
 
 def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
@@ -66,23 +57,18 @@ def _pmul(a: list[int], b: list[int], n: int) -> list[int]:
     return _trim([c % n for c in out])
 
 
-def _prem_monic(a: list[int], f: list[int], n: int) -> list[int]:
-    # Remainder of a by monic f, deg f >= 1.  No inversions needed.
-    r = [c % n for c in a]
-    df = len(f) - 1
-    for i in range(len(r) - 1, df - 1, -1):
-        c = r[i]
-        if c:
-            r[i] = 0
-            base = i - df
-            for j in range(df):
-                r[base + j] = (r[base + j] - c * f[j]) % n
-    del r[df:]
-    return _trim(r)
+def _require_monic(coeffs: Sequence[int], min_degree: int) -> list[int]:
+    # The trimmed integer coefficients, or ValueError unless they form a
+    # monic polynomial of degree >= min_degree.
+    cs = _trim([int(c) for c in coeffs])
+    if len(cs) <= min_degree or cs[-1] != 1:
+        raise ValueError(f"polynomial must be monic of degree >= {min_degree}")
+    return cs
 
 
 def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[int]]:
-    # Quotient and remainder by monic f.
+    # Quotient and remainder of a by monic f, deg f >= 1.  No inversions
+    # needed.
     r = [c % n for c in a]
     df = len(f) - 1
     if len(r) < len(f):
@@ -103,7 +89,7 @@ def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[
 def _ppow_monic(g: list[int], e: int, f: Sequence[int], n: int) -> list[int]:
     # g**e mod monic f, deg f >= 1, e >= 0.  Cubics take the unrolled
     # kernel, which carries the later Frobenius rounds and the signature.
-    g = _prem_monic(g, f, n)
+    g = _pdivmod_monic(g, f, n)[1]
     if e == 0:
         return [1 % n]
     if not g:
@@ -112,9 +98,9 @@ def _ppow_monic(g: list[int], e: int, f: Sequence[int], n: int) -> list[int]:
         return _cubic_pow(g + [0] * (3 - len(g)), e, f, n)
     result = g
     for bit in bin(e)[3:]:
-        result = _prem_monic(_pmul(result, result, n), f, n)
+        result = _pdivmod_monic(_pmul(result, result, n), f, n)[1]
         if bit == "1":
-            result = _prem_monic(_pmul(result, g, n), f, n)
+            result = _pdivmod_monic(_pmul(result, g, n), f, n)[1]
     return result
 
 
@@ -212,123 +198,16 @@ def _gcmd_minus_x(power: list[int], f: Sequence[int], n: int):
     return _gcmd(g, f, n)
 
 
-# ---------------------------------------------------------------------------
-# Public wrappers.
-
-@dataclass(frozen=True)
-class PolyModN:
-    """A polynomial over Z/nZ: reduced coefficients, lowest degree first."""
-
-    coeffs: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "coeffs", tuple(_reduce(self.coeffs, self.modulus)))
-
-    @property
-    def degree(self) -> int:
-        # Degree of the zero polynomial is -1 by convention.
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts))
-
-
-@dataclass(frozen=True)
-class Found:
-    poly: PolyModN
-
-
-@dataclass(frozen=True)
-class FactorFound:
-    factor: int
-
-
-GcmdOutcome = Union[Found, FactorFound]
-
-
-def _require_same_modulus(*polys: PolyModN) -> int:
-    n = polys[0].modulus
-    for p in polys[1:]:
-        if p.modulus != n:
-            raise ValueError(f"modulus mismatch: {p.modulus} != {n}")
-    return n
-
-
-def poly_rem(a: PolyModN, f: PolyModN) -> PolyModN:
-    """Remainder of a by f.  f must be monic with degree >= 1."""
-    n = _require_same_modulus(a, f)
-    if not f.is_monic or f.degree < 1:
-        raise ValueError(f"divisor must be monic of degree >= 1, got {f}")
-    return PolyModN(tuple(_prem_monic(list(a.coeffs), list(f.coeffs), n)), n)
-
-
-def poly_powmod(g: PolyModN, e: int, f: PolyModN) -> PolyModN:
-    """g**e mod f by square-and-multiply; f monic, degree >= 1, e >= 0."""
-    n = _require_same_modulus(g, f)
-    if not f.is_monic or f.degree < 1:
-        raise ValueError(f"modulus polynomial must be monic of degree >= 1, got {f}")
-    if e < 0:
-        raise ValueError("negative exponent")
-    return PolyModN(tuple(_ppow_monic(list(g.coeffs), e, list(f.coeffs), n)), n)
-
-
-def gcmd(g: PolyModN, h: PolyModN) -> GcmdOutcome:
-    """Greatest common monic divisor of g and h over Z/nZ.
-
-    Over a composite modulus the gcd may fail to exist; the failing
-    inversion then hands back a nontrivial factor of n as FactorFound.
-    Exactly one of g, h may be zero; both zero is rejected.
-    """
-    n = _require_same_modulus(g, h)
-    res = _gcmd(list(g.coeffs), list(h.coeffs), n)
-    if res[0] == "factor":
-        return FactorFound(res[1])
-    return Found(PolyModN(tuple(res[1]), n))
-
-
-def poly_compose_mod(outer: PolyModN, inner: PolyModN) -> PolyModN:
-    """outer(inner(x)) reduced mod outer; outer monic with degree >= 1.
-
-    Horner evaluation in the quotient ring Z/nZ[x]/(outer)."""
-    n = _require_same_modulus(outer, inner)
-    if not outer.is_monic or outer.degree < 1:
-        raise ValueError(f"outer must be monic of degree >= 1, got {outer}")
-    f = list(outer.coeffs)
-    g = _prem_monic(list(inner.coeffs), f, n)
+def _compose_mod(f: list[int], g: list[int], n: int) -> list[int]:
+    # f(g) mod (f, n) for monic f, deg f >= 1: Horner evaluation in the
+    # quotient ring Z/nZ[x]/(f).
+    g = _pdivmod_monic(g, f, n)[1]
     acc: list[int] = []
     for c in reversed(f):
-        acc = _pmul(acc, g, n)
-        if c:
-            if acc:
-                acc[0] = (acc[0] + c) % n
-                acc = _trim(acc)
-            else:
-                acc = [c % n]
-        acc = _prem_monic(acc, f, n)
-    return PolyModN(tuple(acc), n)
+        acc = _pmul(acc, g, n) or [0]
+        acc[0] += c
+        acc = _pdivmod_monic(acc, f, n)[1]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +263,13 @@ def discriminant(coeffs: Sequence[int]) -> int:
     Exact integer value: (-1)**(d*(d-1)/2) times the resultant of f and
     its derivative (the leading coefficient is 1, so no further division).
     """
-    return _discriminant(tuple(_trim([int(c) for c in coeffs])))
+    return _discriminant(tuple(_require_monic(coeffs, 2)))
 
 
 @lru_cache(maxsize=64)
 def _discriminant(cs: tuple[int, ...]) -> int:
-    # lru_cache does not store exceptions, so bad input raises every time.
+    # cs is trimmed and monic of degree >= 2.
     d = len(cs) - 1
-    if d < 2:
-        raise ValueError("discriminant requires degree >= 2")
-    if cs[-1] != 1:
-        raise ValueError("polynomial must be monic")
     deriv = [i * cs[i] for i in range(1, d + 1)]
     res = _resultant(list(cs), deriv)
     return -res if (d * (d - 1) // 2) % 2 else res

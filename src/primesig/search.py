@@ -28,7 +28,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .frobenius import PROBABLE_PRIME, _validate_poly, frobenius_test
+from .frobenius import PROBABLE_PRIME, frobenius_test
 from .modarith import is_prime_baseline, jacobi
 from .perrin import RecurrenceParams, classify_signature, perrin_test, signature
 from .polymod import discriminant
@@ -58,7 +58,7 @@ class SearchSpec:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         # A bad spec would otherwise scan to completion with nothing flagged.
         if self.test == "frobenius":
-            if discriminant(_validate_poly(self.poly)) == 0:
+            if discriminant(self.poly) == 0:
                 raise ValueError(f"polynomial {self.poly} is not squarefree")
         elif self.test == "perrin-full" and RecurrenceParams(self.r, self.s).delta == 0:
             raise ValueError(f"the cubic of (r, s) = ({self.r}, {self.s}) has a repeated root")

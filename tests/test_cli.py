@@ -51,6 +51,11 @@ def test_verify_weak_census_number(capsys):
     assert main(["verify", "271441", "--test", "perrin-weak"]) == 0
     record = json.loads(capsys.readouterr().out.split("record: ")[1])
     assert record["verdict"] == "pass"
+    assert record["jacobi"] == "1"  # 271441 = 521^2
+    # The weak record carries the symbol for every odd n, passing or not.
+    record = verify_number(9, "perrin-weak", out=io.StringIO())
+    assert record["verdict"] == "fail" and record["jacobi"] == "1"
+    assert "jacobi" not in verify_number(10, "perrin-weak", out=io.StringIO())
 
 
 def test_verify_custom_rs(capsys):
@@ -214,6 +219,16 @@ def test_construct_malformed_params_exit_one(tmp_path, capsys):
                     "x_bound=300\nt_max=5\npoly=-1,1\n")
     assert main(["construct", "--params", str(bad3)]) == 1
     assert main(["construct", "--params", str(tmp_path / "absent.cfg")]) == 1
+
+
+def test_construct_non_squarefree_poly_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(
+        "y=3\nq_min=3\nq_max=8\nk_min=1\nk_max=100\n"
+        "x_bound=3000\nt_max=5\npoly=1,2,1\nbudget=100000\n"  # (x + 1)^2
+    )
+    assert main(["construct", "--params", str(cfg)]) == 1
+    assert "squarefree" in capsys.readouterr().err
 
 
 def test_parse_params_file_round_trip(tmp_path):

@@ -4,13 +4,18 @@ import random
 import pytest
 
 from primesig import (
+    PERRIN,
     PRESETS,
+    PROBABLE_PRIME,
     ConstructionCertificate,
     ConstructionParams,
+    carmichael_frobenius,
     construct,
     find_k_and_primes,
+    frobenius_test,
     harvest_smooth_primes,
     korselt,
+    perrin_test,
     splits_completely,
     subset_product_search,
 )
@@ -142,6 +147,24 @@ def test_construct_classic_preset():
             assert splits_completely(p, cert.poly)
 
 
+def test_cubic_splitting_carmichael_numbers_are_perrin_and_frobenius_pseudoprimes():
+    # Carmichael numbers whose primes all split for x^3 - x - 1, built
+    # over the divisor-rich L = 720720, must pass the weak Perrin test and
+    # the Frobenius test for that cubic.
+    cubic = (-1, -1, 0, 1)
+    k, pool = find_k_and_primes(720720, cubic, (1, 30), 10**6)
+    assert (k, len(pool)) == (23, 20)
+    found = subset_product_search(pool, 720720, 10)
+    assert found.complete and len(found.subsets) == 6
+    for subset in found.subsets:
+        n = math.prod(subset)
+        assert n % (k * 720720) == 1
+        assert carmichael_frobenius(n, cubic), n
+        assert perrin_test(PERRIN, n, mode="weak").passes, n
+        assert frobenius_test(n, cubic).verdict == PROBABLE_PRIME, n
+    assert max(math.prod(s) for s in found.subsets).bit_length() > 128
+
+
 def test_construct_certificate_record_form():
     cert = construct(PRESETS["classic-Q"]).certificates[0]
     record = cert.to_record()
@@ -179,6 +202,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ConstructionParams(
             y=3, q_range=(3, 8), k_min=0, k_max=4, x_bound=300, t_max=5, poly=(-1, 1)
+        ).validate()
+    with pytest.raises(ValueError):
+        ConstructionParams(
+            y=3, q_range=(3, 8), k_min=1, k_max=4, x_bound=300, t_max=5, poly=(1, 2, 1)
         ).validate()
 
 

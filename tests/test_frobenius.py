@@ -11,7 +11,7 @@ from primesig import (
     frobenius_test,
     splits_completely,
 )
-from primesig.polymod import PolyModN, gcmd, poly_rem
+from primesig.polymod import _pdivmod_monic
 
 from naive_frobenius import naive_frobenius
 from oracles import sieve
@@ -32,12 +32,10 @@ def test_factorization_step_parts_multiply_back():
         step = factorization_step(n, CUBIC)
         assert not step.declared_composite
         assert sum(step.degrees) == 3
-        f = PolyModN(CUBIC, n)
-        for coeffs in step.parts:
-            part = PolyModN(coeffs, n)
-            assert part.is_monic
-            if part.degree >= 1:
-                assert poly_rem(f, part).is_zero
+        for part in step.parts:
+            assert part[-1] == 1
+            if len(part) >= 2:
+                assert _pdivmod_monic(list(CUBIC), list(part), n)[1] == []
 
 
 def test_factorization_step_composite_leftover():

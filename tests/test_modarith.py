@@ -11,7 +11,6 @@ from primesig import (
     inv_mod,
     is_prime_baseline,
     jacobi,
-    pow_mod,
 )
 
 from oracles import factorize_naive, is_prime_naive, jacobi_naive, sieve
@@ -85,15 +84,6 @@ def test_inv_mod_exhaustive_small_moduli():
 
 def test_inv_mod_negative_argument():
     assert inv_mod(-3, 7) * -3 % 7 == 1
-
-
-def test_pow_mod_matches_builtin():
-    rng = random.Random(13)
-    for _ in range(200):
-        a = rng.randint(-50, 10**6)
-        e = rng.randint(0, 10**6)
-        n = rng.randint(2, 10**6)
-        assert pow_mod(a, e, n) == pow(a, e, n)
 
 
 def test_is_prime_baseline_agrees_with_sieve_to_a_million():

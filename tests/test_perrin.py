@@ -267,6 +267,24 @@ def test_weak_jacobi_field():
     assert perrin_test(PERRIN, 2, mode="weak").jacobi_symbol is None
 
 
+def test_weak_mode_computes_jacobi_only_for_passing_n(monkeypatch):
+    from primesig import perrin
+
+    real = perrin.jacobi
+    calls = []
+
+    def counting(a, n):
+        calls.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr(perrin, "jacobi", counting)
+    res = perrin_test(PERRIN, 9, mode="weak")
+    assert not res.passes and res.jacobi_symbol is None
+    assert calls == []
+    assert perrin_test(PERRIN, 271441, mode="weak").jacobi_symbol == 1
+    assert calls == [271441]
+
+
 def test_sequence_term_matches_oracle_term_helper():
     assert recurrence_term(0, -1, 7, 100) == 7
     assert sequence_term(PERRIN, 100, 9973) == recurrence_term(0, -1, 100, 9973)

@@ -2,86 +2,74 @@ import random
 
 import pytest
 
-from primesig import (
-    FactorFound,
-    Found,
-    PolyModN,
-    discriminant,
-    gcmd,
-    poly_compose_mod,
-    poly_powmod,
-    poly_rem,
-)
+from primesig import discriminant
 
-from primesig.polymod import _ppow_monic, _xpow
+from primesig.polymod import (_compose_mod, _gcmd, _pdivmod_monic, _ppow_monic, _require_monic,
+                              _xpow)
 
+from naive_frobenius import _divmod as naive_divmod
 from naive_frobenius import _powmod as naive_powmod
+from naive_frobenius import _substitute as naive_substitute
 from oracles import discriminant_by_sylvester, random_monic, sieve
 
 PRIMES_TO_200 = [p for p in range(2, 201) if sieve(200)[p]]
 
 
-def P(coeffs, n):
-    return PolyModN(tuple(coeffs), n)
+def rem(a, f, n):
+    return _pdivmod_monic(a, f, n)[1]
 
 
-def test_polymodn_normalizes():
-    p = P([8, 7, 0, 0], 7)
-    assert p.coeffs == (1,)
-    assert P([0, 0], 5).coeffs == ()
-    assert P([-1, -1, 0, 1], 5).coeffs == (4, 4, 0, 1)
-    assert P([], 3).is_zero
-    assert P([0, 0, 1], 9).degree == 2
-    assert P([3], 9).degree == 0
-    assert P([], 9).degree == -1
-
-
-def test_polymodn_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        P([1], 1)
-    with pytest.raises(ValueError):
-        P([1], 0)
+def as_list(poly):
+    # A naive_frobenius dict polynomial as a coefficient list.
+    return [poly.get(d, 0) for d in range(max(poly) + 1)] if poly else []
 
 
 def test_poly_rem_examples():
-    f = P([1, 0, 1], 7)  # x^2 + 1
-    assert poly_rem(P([0, 0, 0, 1], 7), f).coeffs == (0, 6)  # x^3 -> 6x
-    g = P([-1, -1, 0, 1], 11)
-    assert poly_rem(g, g).is_zero
+    f = [1, 0, 1]  # x^2 + 1
+    assert rem([0, 0, 0, 1], f, 7) == [0, 6]  # x^3 -> 6x
+    g = [10, 10, 0, 1]
+    assert rem(g, g, 11) == []
     # x^4 + x mod x^3 - x - 1 over mod 5: x^3 = x + 1, so x^4 = x^2 + x.
-    assert poly_rem(P([0, 1, 0, 0, 1], 5), P([-1, -1, 0, 1], 5)).coeffs == (0, 2, 1)
+    assert rem([0, 1, 0, 0, 1], [4, 4, 0, 1], 5) == [0, 2, 1]
+    # Quotient too: x^3 + 2 = x * (x^2 + 1) + (6x + 2) over mod 7.
+    assert _pdivmod_monic([2, 0, 0, 1], f, 7) == ([0, 1], [2, 6])
+    # A dividend of lower degree is its own (reduced) remainder.
+    assert _pdivmod_monic([8, 7], [4, 4, 0, 1], 7) == ([], [1])
 
 
-def test_poly_rem_requires_monic():
-    with pytest.raises(ValueError):
-        poly_rem(P([1, 1], 7), P([1, 2], 7))
-    with pytest.raises(ValueError):
-        poly_rem(P([1, 1], 7), P([3], 7))
+def test_pdivmod_monic_matches_naive_divmod():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.choice([2, 5, 7, 9, 15, 21, 101, rng.randint(3, 1 << 80)])
+        f = [rng.randrange(n) for _ in range(rng.randint(1, 4))] + [1]
+        a = [rng.randrange(-n, n) for _ in range(rng.randint(0, 9))]
+        quo, r = naive_divmod({d: c for d, c in enumerate(a) if c % n},
+                              {d: c for d, c in enumerate(f) if c}, n)
+        assert _pdivmod_monic(a, f, n) == (as_list(quo), as_list(r)), (n, f, a)
 
 
 def test_poly_powmod_examples():
-    f = P([-1, -1, 0, 1], 7)
-    x = P([0, 1], 7)
-    assert poly_powmod(x, 7, f).coeffs == (1, 2, 2)
-    assert poly_powmod(x, 0, f).coeffs == (1,)
-    assert poly_powmod(x, 1, f).coeffs == (0, 1)
+    f = [6, 6, 0, 1]
+    assert _ppow_monic([0, 1], 7, f, 7) == [1, 2, 2]
+    assert _ppow_monic([0, 1], 0, f, 7) == [1]
+    assert _ppow_monic([0, 1], 1, f, 7) == [0, 1]
 
 
 def test_poly_powmod_matches_repeated_multiplication():
     rng = random.Random(31)
     for _ in range(60):
         n = rng.choice([5, 7, 13, 15, 21, 101])
-        f = P([rng.randrange(n) for _ in range(rng.randint(1, 4))] + [1], n)
-        g = P([rng.randrange(n) for _ in range(f.degree + 1)], n)
+        f = [rng.randrange(n) for _ in range(rng.randint(1, 4))] + [1]
+        g = [rng.randrange(n) for _ in range(len(f))]
         e = rng.randint(0, 40)
-        expected = P([1], n)
+        expected = [1]
         for _ in range(e):
-            raw = [0] * (len(expected.coeffs) + len(g.coeffs))
-            for i, a in enumerate(expected.coeffs):
-                for j, b in enumerate(g.coeffs):
+            raw = [0] * (len(expected) + len(g))
+            for i, a in enumerate(expected):
+                for j, b in enumerate(g):
                     raw[i + j] += a * b
-            expected = poly_rem(P(raw, n), f)
-        assert poly_powmod(g, e, f).coeffs == expected.coeffs
+            expected = rem(raw, f, n)
+        assert _ppow_monic(g, e, f, n) == expected
 
 
 def test_xpow_matches_generic_powmod():
@@ -115,21 +103,19 @@ def test_ppow_monic_cubic_matches_naive_powmod():
 
 
 def test_gcmd_examples():
-    out = gcmd(P([-1, 0, 1], 5), P([-1, 1], 5))
-    assert out == Found(P([-1, 1], 5))
+    assert _gcmd([-1, 0, 1], [-1, 1], 5) == ("found", [4, 1])
     # x^2 - 1 = (x + 2)(x - 2) + 3 and gcd(3, 15) = 3: the monic gcd
     # fails to exist and the failure surfaces a factor of the modulus.
-    out = gcmd(P([-1, 0, 1], 15), P([2, 1], 15))
-    assert out == FactorFound(3)
-    out = gcmd(P([], 7), P([-1, -1, 0, 1], 7))
-    assert out == Found(P([-1, -1, 0, 1], 7))
-    out = gcmd(P([-1, -1, 0, 1], 7), P([], 7))
-    assert out == Found(P([-1, -1, 0, 1], 7))
+    assert _gcmd([-1, 0, 1], [2, 1], 15) == ("factor", 3)
+    assert _gcmd([], [-1, -1, 0, 1], 7) == ("found", [6, 6, 0, 1])
+    assert _gcmd([-1, -1, 0, 1], [], 7) == ("found", [6, 6, 0, 1])
 
 
 def test_gcmd_rejects_two_zeros():
     with pytest.raises(ValueError):
-        gcmd(P([], 7), P([], 7))
+        _gcmd([], [], 7)
+    with pytest.raises(ValueError):
+        _gcmd([7, 14], [0], 7)
 
 
 def test_gcmd_result_is_monic_and_divides_both():
@@ -137,58 +123,63 @@ def test_gcmd_result_is_monic_and_divides_both():
     moduli = PRIMES_TO_200 + [4, 9, 15, 21, 49, 91, 561, 9997]
     for trial in range(10**4):
         n = rng.choice(moduli)
-        a = P([rng.randrange(n) for _ in range(rng.randint(0, 6))], n)
-        b = P([rng.randrange(n) for _ in range(rng.randint(0, 6))], n)
-        if a.is_zero and b.is_zero:
+        a = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+        b = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+        if not any(a) and not any(b):
             continue
-        out = gcmd(a, b)
-        if isinstance(out, FactorFound):
-            assert 1 < out.factor < n
-            assert n % out.factor == 0
+        kind, out = _gcmd(a, b, n)
+        if kind == "factor":
+            assert 1 < out < n
+            assert n % out == 0
             continue
-        g = out.poly
-        assert g.is_monic
-        if g.degree == 0:
-            assert g.coeffs == (1,)  # the unit divides everything
-            continue
+        assert kind == "found" and out[-1] == 1
+        if len(out) == 1:
+            continue  # the unit divides everything
         for operand in (a, b):
-            if not operand.is_zero:
-                assert poly_rem(operand, g).is_zero, (a, b, g)
+            assert rem(operand, out, n) == [], (a, b, out)
 
 
 def test_gcmd_never_fails_over_prime_modulus():
     rng = random.Random(59)
     for _ in range(3000):
         p = rng.choice(PRIMES_TO_200)
-        a = P([rng.randrange(p) for _ in range(rng.randint(0, 6))], p)
-        b = P([rng.randrange(p) for _ in range(rng.randint(0, 6))], p)
-        if a.is_zero and b.is_zero:
+        a = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+        b = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+        if not any(a) and not any(b):
             continue
-        assert isinstance(gcmd(a, b), Found)
-
-
-def test_gcmd_modulus_mismatch():
-    with pytest.raises(ValueError):
-        gcmd(P([1, 1], 7), P([1, 1], 11))
+        assert _gcmd(a, b, p)[0] == "found"
 
 
 def test_poly_compose_mod():
     # The outer polynomial is also the reduction modulus: F(g) mod F.
-    f = P([-1, -1, 0, 1], 13)
-    x = P([0, 1], 13)
-    assert poly_compose_mod(f, x).is_zero
+    f = [12, 12, 0, 1]
+    assert _compose_mod(f, [0, 1], 13) == []
     # f(x^13) mod f is zero exactly when 13 behaves like a prime for f.
-    image = poly_powmod(x, 13, f)
-    assert poly_compose_mod(f, image).is_zero
-    assert poly_compose_mod(P([1, 0, 1], 9), P([0, 1], 9)).is_zero
+    assert _compose_mod(f, _xpow(13, f, 13), 13) == []
+    assert _compose_mod([1, 0, 1], [0, 1], 9) == []
     # Degree-1 outer means evaluation: F = x - 4, g = x^2 over mod 7
     # gives g(4) - 4 = 12 mod 7 = 5.
-    assert poly_compose_mod(P([-4, 1], 7), P([0, 0, 1], 7)).coeffs == (5,)
+    assert _compose_mod([3, 1], [0, 0, 1], 7) == [5]
 
 
-def test_poly_compose_mod_rejects_non_monic():
-    with pytest.raises(ValueError):
-        poly_compose_mod(P([1, 2], 7), P([1], 7))
+def test_compose_mod_matches_naive_substitute():
+    # Horner against the oracle, which computes each power separately.
+    rng = random.Random(67)
+    for _ in range(200):
+        n = rng.choice([3, 9, 15, 23, 101, rng.randint(3, 1 << 70)])
+        f = [rng.randrange(n) for _ in range(rng.randint(1, 4))] + [1]
+        g = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+        fd = {d: c for d, c in enumerate(f) if c}
+        ref = naive_substitute(fd, {d: c for d, c in enumerate(g) if c}, fd, n)
+        assert _compose_mod(f, g, n) == as_list(ref), (n, f, g)
+
+
+def test_require_monic():
+    assert _require_monic((-1, -1, 0, 1, 0, 0), 2) == [-1, -1, 0, 1]
+    for coeffs, min_degree in (((1, 2), 1), ((3,), 1), ((1,), 1), ((), 1),
+                               ((5, 1), 2), ((1, 0, 2), 2), ((0, 0, 2, 0), 1)):
+        with pytest.raises(ValueError, match="monic of degree >= "):
+            _require_monic(coeffs, min_degree)
 
 
 def test_discriminant_known_values():
@@ -222,14 +213,11 @@ def test_discriminant_matches_sylvester_oracle():
 def test_discriminant_vanishes_exactly_at_ramified_primes():
     # x^3 - x - 1 has discriminant -23: a repeated factor mod 23 and
     # none mod other primes.
-    f23 = P([-1, -1, 0, 1], 23)
-    deriv23 = P([-1, 0, 3], 23)
-    out = gcmd(f23, deriv23)
-    assert isinstance(out, Found) and out.poly.degree >= 1
+    kind, out = _gcmd([-1, -1, 0, 1], [-1, 0, 3], 23)
+    assert kind == "found" and len(out) >= 2
     assert discriminant((-1, -1, 0, 1)) % 23 == 0
     rng = random.Random(83)
     for _ in range(20):
         p = rng.choice([q for q in PRIMES_TO_200 if q not in (2, 23)])
-        out = gcmd(P([-1, -1, 0, 1], p), P([-1, 0, 3], p))
-        assert isinstance(out, Found) and out.poly.degree == 0
+        assert _gcmd([-1, -1, 0, 1], [-1, 0, 3], p) == ("found", [1])
         assert discriminant((-1, -1, 0, 1)) % p != 0
