@@ -41,6 +41,15 @@ _MAX_DIVISORS = 1 << 20
 _MAX_POOL = 64
 
 
+def _require_squarefree(poly) -> list[int]:
+    # Trimmed coefficients of a monic poly of degree >= 1 that is squarefree
+    # (nonzero discriminant) when its degree is >= 2; ValueError otherwise.
+    cs = _require_monic(poly, 1)
+    if len(cs) > 2 and discriminant(cs) == 0:
+        raise ValueError(f"poly {tuple(poly)} is not squarefree")
+    return cs
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Knobs for one construction run.
@@ -73,9 +82,7 @@ class ConstructionParams:
         return issues
 
     def validate(self) -> None:
-        cs = _require_monic(self.poly, 1)
-        if len(cs) > 2 and discriminant(cs) == 0:
-            raise ValueError(f"poly {self.poly} is not squarefree")
+        _require_squarefree(self.poly)
         if self.k_min < 1:
             raise ValueError("k_min must be >= 1")
         if self.x_bound < 3:
@@ -168,11 +175,13 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     with d dividing L that splits completely for poly; p = 2 and primes
     dividing L are excluded (neither can join a subset product mod L).
     Returns the k with the largest pool, smallest k on ties, or None when
-    no pool reaches the minimum subset size of 3.
+    no pool reaches the minimum subset size of 3.  A poly of degree >= 2
+    with discriminant 0 raises ValueError: every prime would count as
+    ramified, so no pool could ever fill.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    cs = _require_monic(poly, 1)
+    cs = _require_squarefree(poly)
     delta = discriminant(cs) if len(cs) > 2 else None
     divs = _divisors(L)
     best: tuple[int, list[int]] | None = None

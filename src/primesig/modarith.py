@@ -1,5 +1,10 @@
 """Exact integer arithmetic: Jacobi symbols, modular inverses, primality,
-and deterministic small-scale factorization."""
+and deterministic small-scale factorization.
+
+factorize runs trial division to 10**4, then Miller's n - 1 split (a few
+modular powers, which break up Carmichael numbers), then Brent rho on what
+is left; only the Brent steps count against its budget.
+"""
 
 from __future__ import annotations
 
@@ -81,22 +86,16 @@ def jacobi(a: int, n: int) -> int:
 
 
 def inv_mod(a: int, n: int) -> int:
-    """Inverse of a mod n >= 2, via the extended Euclidean algorithm.
+    """Inverse of a mod n >= 2.
 
     Raises NotInvertibleError carrying gcd(a, n) when no inverse exists.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    a %= n
-    old_r, r = a, n
-    old_t, t = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_t, t = t, old_t - q * t
-    if old_r != 1:
-        raise NotInvertibleError(a, n, old_r if old_r else n)
-    return old_t % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NotInvertibleError(a % n, n, math.gcd(a, n)) from None
 
 
 # Witness sets for the strong-probable-prime rounds.  The four-prime set is
@@ -269,13 +268,42 @@ def _rho_split(n: int, budget: list[int]) -> int | None:
     return None
 
 
-def factorize(n: int, budget: int = 4_000_000) -> Factorization:
-    """Factor n >= 2 by trial division to 10**4 followed by Brent's cycle
-    method with a deterministic seed schedule.
+# Bases for the n - 1 split: the first eight primes.  Trial division has
+# removed every factor below 10**4, so each base is a unit mod the cofactor.
+_SPLIT_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
-    All returned primes are certified by is_prime_baseline.  Raises
-    BudgetExceededError (carrying partial results) when the step budget
-    runs out.
+
+def _miller_split(m: int, e: int) -> int | None:
+    # Miller's reduction (J. Comput. Syst. Sci. 13, 1976): with e = d*2^s,
+    # d odd, walk x = a^d, a^(2d), ..., a^e mod m.  When e is a multiple of
+    # lambda(m), as for every divisor m of a Carmichael n and e = n - 1, then
+    # for at least half of all bases a some x - 1 vanishes mod one prime
+    # factor of m but not mod another, and the gcd splits m.
+    # Fixed work: at most len(_SPLIT_BASES) powers and s squarings each.
+    s = (e & -e).bit_length() - 1
+    d = e >> s
+    for a in _SPLIT_BASES:
+        x = pow(a, d, m)
+        for _ in range(s + 1):
+            g = math.gcd(x - 1, m)
+            if g == m:
+                break
+            if g > 1:
+                return g
+            x = x * x % m
+    return None
+
+
+def factorize(n: int, budget: int = 4_000_000) -> Factorization:
+    """Factor n >= 2 in three steps: trial division to 10**4, then Miller's
+    n - 1 split of each composite cofactor, then Brent's cycle method with
+    a deterministic seed schedule for what the split leaves.
+
+    The n - 1 split costs at most eight modular powers per cofactor.  It
+    splits Carmichael numbers and their divisors (each base succeeds with
+    probability at least 1/2); what it cannot split goes on to Brent.  All returned primes are certified by is_prime_baseline.  The
+    step budget counts Brent steps only; BudgetExceededError (carrying
+    partial results) is raised when it runs out.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
@@ -301,7 +329,7 @@ def factorize(n: int, budget: int = 4_000_000) -> Factorization:
         if is_prime_baseline(m):
             found[m] = found.get(m, 0) + 1
             continue
-        f = _rho_split(m, steps)
+        f = _miller_split(m, n - 1) or _rho_split(m, steps)
         if f is None:
             raise BudgetExceededError(n, found, [m] + pending)
         pending.append(f)

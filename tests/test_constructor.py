@@ -81,6 +81,16 @@ def test_find_k_splitting_filter():
     assert find_k_and_primes(35, (-1, -1, 1), (1, 100), 3000) is None
 
 
+def test_find_k_rejects_non_squarefree_poly():
+    # (x + 1)^2 and (x - 1)^2 (x + 1) have discriminant 0: every prime
+    # would count as ramified, so the call must fail instead of returning
+    # an empty answer.
+    with pytest.raises(ValueError, match="not squarefree"):
+        find_k_and_primes(35, (1, 2, 1), (1, 100), 3000)
+    with pytest.raises(ValueError, match="not squarefree"):
+        find_k_and_primes(35, [1, -1, -1, 1, 0], (1, 100), 3000)
+
+
 def test_subset_regression_1729():
     result = subset_product_search([7, 13, 19], 36, 3)
     assert result.subsets == ((7, 13, 19),)

@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+import primesig.modarith
 from primesig import (
     BudgetExceededError,
     Factorization,
     NotInvertibleError,
     factorize,
+    find_k_and_primes,
     inv_mod,
     is_prime_baseline,
     jacobi,
+    subset_product_search,
 )
 
 from oracles import factorize_naive, is_prime_naive, jacobi_naive, sieve
@@ -154,6 +157,59 @@ def test_factorize_budget_exhaustion_carries_partial():
     partial = info.value.partial
     assert partial.get(2) == 3
     assert info.value.remaining == [p * q]
+
+
+def test_factorize_splits_carmichael_numbers_without_rho(monkeypatch):
+    # A Carmichael n has lambda(n) | n - 1, so the n - 1 split breaks n and
+    # every cofactor of it, and here Brent rho is never reached.  The
+    # products are cubic-splitting Carmichael numbers over L = 720720
+    # (77-133 bits) and over lcm(1..17) = 12252240 (83-189 bits).
+    def no_rho(m, budget):
+        raise AssertionError(f"rho called on {m}")
+
+    monkeypatch.setattr(primesig.modarith, "_rho_split", no_rho)
+    cubic = (-1, -1, 0, 1)
+    subsets = []
+    for L, k_range, x_bound, lo in ((720720, (1, 30), 10**6, 0),
+                                     (12252240, (23, 23), 10**8, 13)):
+        k, pool = find_k_and_primes(L, cubic, k_range, x_bound)
+        found = subset_product_search(pool[lo:], L, 10)
+        assert found.complete and len(found.subsets) == 6
+        subsets.extend(found.subsets)
+    assert max(math.prod(s) for s in subsets).bit_length() > 180
+    for subset in subsets:
+        n = math.prod(subset)
+        assert factorize(n).factors == tuple((p, 1) for p in subset), subset
+
+
+def test_factorize_falls_back_to_rho_on_other_input(monkeypatch):
+    # Products of 2-4 primes in (10**4, 10**6) that are not Carmichael
+    # numbers, among them a square, a cube and even n (n - 1 odd, s = 0).
+    rho_calls = []
+    rho = primesig.modarith._rho_split
+
+    def counting_rho(m, budget):
+        rho_calls.append(m)
+        return rho(m, budget)
+
+    monkeypatch.setattr(primesig.modarith, "_rho_split", counting_rho)
+    rng = random.Random(5)
+    primes = [p for p in range(10**4 + 1, 10**6, 2) if is_prime_baseline(p)]
+    cases = [
+        {100003: 2},
+        {100003: 3},
+        {2: 1, 100003: 1, 999983: 1},
+        {2: 3, 10007: 1, 524287: 2},
+    ]
+    for _ in range(24):
+        picks = sorted(rng.sample(primes, rng.randint(2, 4)))
+        cases.append({p: 1 for p in picks})
+    for expected in cases:
+        n = math.prod(p**e for p, e in expected.items())
+        squarefree = all(e == 1 for e in expected.values())
+        assert not (squarefree and all((n - 1) % (p - 1) == 0 for p in expected))
+        assert factorize(n).as_dict() == expected, expected
+    assert rho_calls
 
 
 def test_factorization_properties():
