@@ -63,9 +63,7 @@ def _cmd_search(args) -> int:
         resume=args.resume,
         block_size=args.block_size,
     )
-    print(f"scanned={summary['scanned']} flagged={summary['flagged']} "
-          f"duration={summary['duration']:.2f}s blocks={summary['blocks_done']}"
-          f"/{summary['blocks_total']}")
+    print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
     return 0
 
 

@@ -16,10 +16,15 @@ A(n-1), A(n), A(n+1)).  It costs one power, x^(n-1), and one squaring:
 since the roots multiply to 1, A(-k) = (A(k)^2 - A(2k))/2.  An odd n
 whose signature mod n looks prime-like is sorted into one of three
 shapes (S, I, Q) matching the three splitting types of the cubic.
+
+For the range scans, residue_tables gives A(k) mod p over one period
+for each odd prime p <= 59: a cheap necessary condition that rejects
+most composites before either test runs.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -37,6 +42,7 @@ __all__ = [
     "classify_signature",
     "perrin_test",
     "PerrinResult",
+    "residue_tables",
 ]
 
 log = logging.getLogger(__name__)
@@ -142,6 +148,37 @@ def signature(params: RecurrenceParams, n: int, m: int) -> Signature:
     dbl = _terms(params, _ppow_monic(power, 2, params.poly, m2), m2, 5)
     neg = [(a * a - b) % m2 // 2 for a, b in zip(pos, dbl[::2])]
     return Signature(m, tuple(neg[::-1] + [a % m for a in pos]), n)
+
+
+# Odd primes whose residue tables the range scans read.
+_TABLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+@functools.lru_cache(maxsize=16)
+def residue_tables(params: RecurrenceParams) -> tuple[tuple[int, bytes], ...]:
+    """(p, table) for each odd prime p <= 59, where table[k] is 1 iff
+    A(k) = r mod p, for k over one period of A mod p.
+
+    A(k) mod p is purely periodic: the cubic's constant term is -1, so
+    the step (A(k), A(k+1), A(k+2)) -> (A(k+1), A(k+2), A(k+3)) is
+    invertible mod p and the window comes back to (A(0), A(1), A(2)).
+    So A(k) = r mod p iff table[k % len(table)].  Both test modes pass
+    only n with A(n) = r mod n (full mode through signature position 5),
+    hence with A(n) = r mod p for every prime p | n.
+    """
+    out = []
+    for p in _TABLE_PRIMES:
+        start = _base_window(params, p)
+        r, s = params.r % p, params.s % p
+        a, b, c = start
+        table = bytearray()
+        while True:
+            table.append(a == r)
+            a, b, c = b, c, (r * c - s * b + a) % p
+            if (a, b, c) == start:
+                break
+        out.append((p, bytes(table)))
+    return tuple(out)
 
 
 def _recover_root(params: RecurrenceParams, n: int) -> int | None:

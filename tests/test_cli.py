@@ -104,7 +104,7 @@ def test_missing_subcommand_is_usage_error():
     assert info.value.code == 2
 
 
-def test_search_cli_roundtrip(tmp_path):
+def test_search_cli_roundtrip(tmp_path, capsys):
     out = tmp_path / "hits.jsonl"
     ckpt = tmp_path / "scan.ckpt"
     rc = main([
@@ -115,6 +115,13 @@ def test_search_cli_roundtrip(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert any(json.loads(l)["n"] == "341" for l in lines)
+    # One JSON summary line on stderr, nothing on stdout.
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    [summary] = [json.loads(l) for l in streams.err.splitlines()]
+    assert summary["scanned"] == sum(summary["outcomes"].values()) == 999
+    assert summary["flagged"] == summary["outcomes"]["flagged"] == len(lines)
+    assert summary["completed"]
     # Identical rerun: same bytes.
     blob = out.read_bytes()
     rc = main([

@@ -15,6 +15,7 @@ from primesig import (
     sequence_term,
     signature,
 )
+from primesig.perrin import residue_tables
 
 from oracles import recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping
 
@@ -288,3 +289,19 @@ def test_weak_mode_computes_jacobi_only_for_passing_n(monkeypatch):
 def test_sequence_term_matches_oracle_term_helper():
     assert recurrence_term(0, -1, 7, 100) == 7
     assert sequence_term(PERRIN, 100, 9973) == recurrence_term(0, -1, 100, 9973)
+
+
+@pytest.mark.parametrize("rs", [(0, -1), (1, -1), (3, 3)])
+def test_residue_tables_match_sequence_terms(rs):
+    params = RecurrenceParams(*rs)
+    tables = residue_tables(params)
+    # Every odd prime up to 59, including 23, which divides the Perrin
+    # discriminant.
+    assert [p for p, _ in tables] == [p for p in range(3, 60) if sieve(59)[p]]
+    for p, table in tables:
+        period = len(table)
+        for k in range(3 * period):
+            assert table[k % period] == (sequence_term(params, k, p) == params.r % p), (p, k)
+    if rs == (3, 3):
+        # (x - 1)^3: A(k) = 3 for every k, so nothing is ever rejected.
+        assert all(table == b"\x01" for _, table in tables)

@@ -1,12 +1,19 @@
 import json
+import math
 
 import pytest
 
+from primesig import search
+from primesig.modarith import is_prime_baseline
+from primesig.perrin import RecurrenceParams, perrin_test
 from primesig.search import (
+    OUTCOMES,
     CheckpointMismatch,
     SearchSpec,
     run_range_search,
 )
+
+from oracles import sieve
 
 
 def run(tmp_path, name, **kwargs):
@@ -81,7 +88,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 def test_kill_and_resume_reproduces_bytes(tmp_path):
     spec = SearchSpec("frobenius", poly=(1, 0, 1))
-    full, _, _ = run(
+    full, _, whole = run(
         tmp_path, "full", start=3, stop=8000, spec=spec, workers=2, block_size=500
     )
     part, ckpt, summary = run(
@@ -110,6 +117,7 @@ def test_kill_and_resume_reproduces_bytes(tmp_path):
     assert resumed["completed"]
     assert part.read_bytes() == full.read_bytes()
     assert resumed["scanned"] == 3999
+    assert resumed["outcomes"] == whole["outcomes"]
 
 
 def test_resume_truncates_trailing_garbage(tmp_path):
@@ -251,3 +259,134 @@ def test_records_round_trip_through_verify(tmp_path):
         assert again["verdict"] == record["verdict"]
         assert again["degrees"] == record["degrees"]
         assert again["jacobi"] == record["jacobi"]
+
+
+def block_outcomes(lo, hi, spec, monkeypatch):
+    # _scan_block's counts, plus the n it handed to is_prime_baseline.
+    asked = []
+
+    def counting(n):
+        asked.append(n)
+        return is_prime_baseline(n)
+
+    monkeypatch.setattr(search, "is_prime_baseline", counting)
+    _, _, counts = search._scan_block((0, lo, hi, spec))
+    assert sum(counts.values()) == len(range(max(lo | 1, 3), hi + 1, 2))
+    return counts, asked
+
+
+@pytest.mark.parametrize("lo, size", [
+    (3, 1 << 16),  # holds the sieve primes themselves
+    (3, 2), (3, 3), (4, 2), (4, 3), (9, 2), (10, 3),
+    (999_983, 3), (1_000_000, 2), (12_345, 1 << 16), (262_144, 1 << 16),
+])
+def test_sieve_is_exact_below_its_limit(lo, size, monkeypatch):
+    hi = lo + size - 1
+    first = max(lo | 1, 3)
+    marks, exact = search._sieve_block(first, hi)
+    flags = sieve(hi)
+    assert exact
+    assert list(marks) == [0 if flags[n] else 1 for n in range(first, hi + 1, 2)]
+    counts, asked = block_outcomes(lo, hi, SearchSpec("perrin-weak"), monkeypatch)
+    assert asked == []
+    assert counts["prime"] == sum(flags[first:hi + 1:2])
+
+
+def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
+    # 10007 is the least prime above the sieve's 10^4, so its square has
+    # no sieve prime factor and only is_prime_baseline can reject it.
+    lo, hi = 10007**2 - 40, 10007**2 + 40
+    marks, exact = search._sieve_block(lo | 1, hi)
+    assert not exact
+    odd = range(lo | 1, hi + 1, 2)
+    assert all(not is_prime_baseline(n) for n, m in zip(odd, marks) if m)
+    counts, asked = block_outcomes(lo, hi, SearchSpec("perrin-weak"), monkeypatch)
+    assert asked == [n for n, m in zip(odd, marks) if not m]
+    assert 10007**2 in asked
+    assert counts["prime"] == sum(map(is_prime_baseline, odd))
+
+
+def per_n_flags(test, lo, hi):
+    params = RecurrenceParams(0, -1)
+    mode = test.split("-")[1]
+    return {n for n in range(lo | 1, hi + 1, 2)
+            if not is_prime_baseline(n)
+            and (mode == "weak" or math.gcd(n, params.delta) == 1)
+            and perrin_test(params, n, mode).passes}
+
+
+@pytest.mark.parametrize("test", ["perrin-weak", "perrin-full"])
+def test_prefiltered_scan_flags_what_the_plain_test_flags(tmp_path, test):
+    lo, hi = 262_145, 262_145 + 4 * 4096 - 1  # holds 271441
+    want = per_n_flags(test, lo, hi)
+    assert (271441 in want) == (test == "perrin-weak")
+    runs = []
+    for workers in (1, 2):
+        out, _, summary = run(tmp_path, f"{test}{workers}", start=lo, stop=hi,
+                              spec=SearchSpec(test), workers=workers, block_size=4096)
+        assert {int(json.loads(line)["n"]) for line in out.read_text().splitlines()} == want
+        runs.append((out.read_bytes(), summary["outcomes"]))
+    assert runs[0] == runs[1]
+    outcomes = runs[0][1]
+    assert list(outcomes) == list(OUTCOMES)
+    assert sum(outcomes.values()) == len(range(lo, hi + 1, 2))
+    assert outcomes["rejected:prefilter"] > 0
+    assert outcomes["flagged"] == len(want)
+    assert outcomes["prime"] == sum(sieve(hi)[lo:hi + 1:2])
+    # Perrin-full does not apply to the multiples of 23 = -delta.
+    multiples_of_23 = sum(n % 23 == 0 for n in range(lo, hi + 1, 2))
+    assert outcomes["not-applicable"] == (multiples_of_23 if test == "perrin-full" else 0)
+
+    # Counters after a kill and a resume equal the uninterrupted ones.
+    part, ckpt, partial = run(tmp_path, f"{test}-cut", start=lo, stop=hi,
+                              spec=SearchSpec(test), workers=2, block_size=4096,
+                              stop_after_blocks=3)
+    assert sum(partial["outcomes"].values()) == 3 * 2048
+    resumed = run_range_search(lo, hi, SearchSpec(test), workers=2, out_path=str(part),
+                               checkpoint_path=str(ckpt), resume=True, block_size=4096)
+    assert (part.read_bytes(), resumed["outcomes"]) == runs[0]
+
+
+def test_degenerate_cubic_passes_every_odd_composite(tmp_path):
+    # (r, s) = (3, 3) is (x - 1)^3: A(k) = 3 for all k, so every table
+    # accepts and the weak test flags every odd composite.
+    out, _, summary = run(tmp_path, "deg", start=3, stop=300,
+                          spec=SearchSpec("perrin-weak", r=3, s=3))
+    flags = sieve(300)
+    flagged = [int(json.loads(line)["n"]) for line in out.read_text().splitlines()]
+    assert flagged == [n for n in range(3, 301, 2) if not flags[n]]
+    assert summary["outcomes"]["rejected:prefilter"] == 0
+
+
+def test_resume_refuses_checkpoint_without_outcome_counts(tmp_path):
+    spec = SearchSpec("perrin-weak")
+    out, ckpt, _ = run(tmp_path, "v1", start=3, stop=5000, spec=spec, block_size=1000,
+                       stop_after_blocks=2)
+    state = json.loads(ckpt.read_text())
+    assert state["version"] == 2
+    old = {k: v for k, v in state.items() if k != "outcomes"}
+    counts = state["outcomes"]
+    old |= {"version": 1, "scanned": sum(counts.values()), "flagged": counts["flagged"]}
+    ckpt.write_text(json.dumps(old))
+    with pytest.raises(CheckpointMismatch):
+        run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
+                         resume=True, block_size=1000)
+
+
+def test_pool_has_no_idle_workers(tmp_path, monkeypatch):
+    sizes = []
+    real_pool = search.multiprocessing.Pool
+
+    def pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    spec = SearchSpec("perrin-weak")
+    run(tmp_path, "one", start=3, stop=900, spec=spec, workers=8, block_size=1000)
+    run(tmp_path, "three", start=3, stop=2900, spec=spec, workers=8, block_size=1000)
+    out, ckpt, _ = run(tmp_path, "cut", start=3, stop=4900, spec=spec, workers=2,
+                       block_size=1000, stop_after_blocks=3)
+    run_range_search(3, 4900, spec, workers=8, out_path=str(out),
+                     checkpoint_path=str(ckpt), resume=True, block_size=1000)
+    assert sizes == [3, 2, 2]
