@@ -65,11 +65,11 @@ class KorseltCertificate:
         return None
 
 
-def korselt(n: int, budget: int = 4_000_000) -> KorseltCertificate:
+def korselt(n: int) -> KorseltCertificate:
     """Factor n >= 2 and certify the Korselt divisibility conditions."""
     if n < 2:
         raise ValueError(f"korselt requires n >= 2, got {n}")
-    fact = factorize(n, budget=budget)
+    fact = factorize(n)
     checks = tuple((p, (n - 1) % (p - 1) == 0) for p in fact.primes())
     return KorseltCertificate(n, fact, checks, fact.is_squarefree)
 
@@ -92,7 +92,7 @@ class CarmichaelFrobeniusResult:
         return self.value
 
 
-def carmichael_frobenius(n: int, coeffs, budget: int = 4_000_000) -> CarmichaelFrobeniusResult:
+def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     """Does n satisfy the Korselt conditions with every prime factor
     splitting completely for the monic polynomial f?
 
@@ -100,7 +100,7 @@ def carmichael_frobenius(n: int, coeffs, budget: int = 4_000_000) -> CarmichaelF
     so it yields a negative answer with evidence rather than an error.
     """
     cs = _require_monic(coeffs, 1)
-    cert = korselt(n, budget=budget)
+    cert = korselt(n)
     if not cert.validates:
         return CarmichaelFrobeniusResult(False, cert, (), cert.failure_reason)
     if len(cs) == 2:

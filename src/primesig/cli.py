@@ -6,6 +6,8 @@ Three subcommands:
   verify     run one test against one number and print the evidence
   construct  run the Carmichael constructor from a preset or params file
 
+verify prints a korselt record of its own; for the scan tests it prints
+the record search.record builds, the format that search writes.
 construct exits 0 when at least one certificate was emitted, 2 when the
 pipeline ran dry, and 1 on malformed input.  Params files are flat
 key=value lines; integer lists (poly) are comma-separated decimals.
@@ -19,11 +21,7 @@ import sys
 
 from .carmichael import korselt
 from .constructor import PRESETS, ConstructionParams, construct
-from .frobenius import frobenius_test
-from .modarith import jacobi
-from .perrin import RecurrenceParams, perrin_test
-from .polymod import discriminant
-from .search import DEFAULT_BLOCK_SIZE, SearchSpec, run_range_search
+from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, record, run_range_search
 
 __all__ = ["main", "verify_number", "run_construct_job", "parse_params_file"]
 
@@ -47,10 +45,8 @@ def _rs_and_poly(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _spec_from_args(args) -> SearchSpec:
-    (r, s), poly = _rs_and_poly(args)
-    if args.test == "frobenius":
-        return SearchSpec(args.test, poly=poly)
-    return SearchSpec(args.test, r=r, s=s)
+    rs, poly = _rs_and_poly(args)
+    return SearchSpec(args.test, *rs, poly=poly)
 
 
 def _cmd_search(args) -> int:
@@ -82,62 +78,37 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             print(f"  p = {p}: p-1 | n-1 {'holds' if ok else 'FAILS'}", file=out)
         verdict = "validates" if cert.validates else f"fails ({cert.failure_reason})"
         print(f"korselt certificate {verdict}", file=out)
-        record = {
+        rec = {
             "n": str(n),
             "test": "korselt",
             "factors": ",".join(f"{p}:{e}" for p, e in cert.factorization.factors),
             "squarefree": str(cert.squarefree).lower(),
             "verdict": "pass" if cert.validates else "fail",
         }
-    elif test in ("perrin-weak", "perrin-full"):
-        params = RecurrenceParams(*rs)
-        res = perrin_test(params, n, mode=test.split("-")[1])
-        record = {
-            "n": str(n),
-            "test": test,
-            "rs": f"{params.r},{params.s}",
-            "verdict": "pass" if res.passes else "fail",
-        }
-        print(f"n = {n}, sequence parameters (r, s) = ({params.r}, {params.s}), "
-              f"discriminant {params.delta}", file=out)
-        if test == "perrin-full":
-            print(f"signature {res.signature.values}", file=out)
-            print(f"class {res.signature_class}, jacobi {res.jacobi_symbol}", file=out)
-            record["class"] = str(res.signature_class)
-        # Weak mode leaves the symbol out for an odd n that fails; the
-        # record still carries it for every odd n.
-        j = res.jacobi_symbol
-        if j is None and n % 2:
-            j = jacobi(params.delta, n)
-        if j is not None:
-            record["jacobi"] = str(j)
-        print(f"{test}: {'pass' if res.passes else 'fail'}", file=out)
-    elif test == "frobenius":
-        report = frobenius_test(n, poly)
-        j = jacobi(discriminant(poly), n)
-        print(f"n = {n}, poly {','.join(map(str, poly))}", file=out)
-        print(f"degrees {list(report.degrees)}", file=out)
-        if report.factor_found:
-            print(f"factor found: {report.factor_found}", file=out)
-        if report.jacobi_s is not None:
-            print(f"jacobi stage sum S = {report.jacobi_s}, "
-                  f"(delta/n) = {j}", file=out)
-        stage = f" at stage {report.stage}" if report.stage else ""
-        print(f"frobenius: {report.verdict}{stage}", file=out)
-        record = {
-            "n": str(n),
-            "test": test,
-            "poly": ",".join(map(str, poly)),
-            "verdict": report.verdict,
-            "degrees": ",".join(map(str, report.degrees)),
-            "jacobi": str(j),
-        }
-        if report.factor_found:
-            record["factor_found"] = str(report.factor_found)
     else:
-        raise ValueError(f"unknown test {test!r}")
-    print("record: " + json.dumps(record, separators=(",", ":")), file=out)
-    return record
+        spec = SearchSpec(test, *rs, poly=poly)
+        result = spec.run(n)
+        rec = record(n, spec, result)
+        if test == "frobenius":
+            print(f"n = {n}, poly {rec['poly']}", file=out)
+            print(f"degrees {list(result.degrees)}", file=out)
+            if result.factor_found:
+                print(f"factor found: {result.factor_found}", file=out)
+            if result.jacobi_s is not None:
+                print(f"jacobi stage sum S = {result.jacobi_s}, "
+                      f"(delta/n) = {rec['jacobi']}", file=out)
+            stage = f" at stage {result.stage}" if result.stage else ""
+            print(f"frobenius: {result.verdict}{stage}", file=out)
+        else:
+            print(f"n = {n}, sequence parameters (r, s) = ({spec.r}, {spec.s}), "
+                  f"discriminant {spec.delta}", file=out)
+            if test == "perrin-full":
+                print(f"signature {result.signature.values}", file=out)
+                print(f"class {result.signature_class}, jacobi {result.jacobi_symbol}",
+                      file=out)
+            print(f"{test}: {rec['verdict']}", file=out)
+    print("record: " + json.dumps(rec, separators=(",", ":")), file=out)
+    return rec
 
 
 def _cmd_verify(args) -> int:
@@ -232,8 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="N", help="first number of the range")
     p_search.add_argument("--to", dest="stop", type=int, required=True,
                           metavar="N", help="last number of the range (inclusive)")
-    p_search.add_argument("--test", required=True,
-                          choices=["perrin-weak", "perrin-full", "frobenius"])
+    p_search.add_argument("--test", required=True, choices=TESTS)
     p_search.add_argument("--rs", metavar="R,S",
                           help="sequence parameters (default 0,-1)")
     p_search.add_argument("--poly", metavar="C0,C1,...,1",
@@ -249,9 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one test against one number")
     p_verify.add_argument("n", type=int)
-    p_verify.add_argument("--test", required=True,
-                          choices=["perrin-weak", "perrin-full", "frobenius",
-                                   "korselt"])
+    p_verify.add_argument("--test", required=True, choices=TESTS + ("korselt",))
     p_verify.add_argument("--rs", metavar="R,S")
     p_verify.add_argument("--poly", metavar="C0,C1,...,1")
     p_verify.set_defaults(func=_cmd_verify)

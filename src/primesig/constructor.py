@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .carmichael import korselt, KorseltCertificate
+from .carmichael import KorseltCertificate, SplittingEvidence, carmichael_frobenius
 from .frobenius import splits_completely
 from .modarith import factorize, inv_mod, is_prime_baseline
 from .polymod import _require_monic, _trim, discriminant
@@ -100,7 +100,7 @@ class ConstructionCertificate:
     k: int
     modulus: int  # the harvested product L
     korselt: KorseltCertificate
-    splitting: tuple[tuple[int, bool], ...]
+    splitting: tuple[SplittingEvidence, ...]  # empty for degree 1, where it is vacuous
     poly: tuple[int, ...]
 
     def to_record(self) -> dict[str, str]:
@@ -305,24 +305,17 @@ def construct(params: ConstructionParams) -> ConstructionResult:
         result.diagnostics.append("subset stage: no subset product is 1 mod L")
         return result
     cs = _trim(list(params.poly))
-    degree_one = len(cs) == 2
     for subset in search.subsets:
         n = math.prod(subset)
-        cert = korselt(n)
-        splitting = tuple(
-            (p, True if degree_one else splits_completely(p, cs)) for p in subset)
-        if not cert.validates:
-            result.diagnostics.append(
-                f"re-verification rejected {n}: {cert.failure_reason}")
-            continue
-        if not all(ok for _, ok in splitting):
-            result.diagnostics.append(f"re-verification rejected {n}: splitting")
+        check = carmichael_frobenius(n, cs)
+        if not check:
+            result.diagnostics.append(f"re-verification rejected {n}: {check.reason}")
             continue
         if n % (k * L) != 1:
             result.diagnostics.append(f"re-verification rejected {n}: congruence")
             continue
         result.certificates.append(ConstructionCertificate(
-            n, subset, k, L, cert, splitting, tuple(cs)))
+            n, subset, k, L, check.korselt, check.splitting, tuple(cs)))
     return result
 
 

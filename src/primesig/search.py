@@ -7,6 +7,12 @@ objects, one per line, all integers rendered as decimal strings, field
 order fixed, UTF-8 with LF endings; the bytes are identical for any
 worker count and across kill/resume at block boundaries.
 
+SearchSpec knows each test: where it applies, how to run it and its
+discriminant.  record turns a test result into a record, for the scans
+and for `primesig verify` alike; the one difference is that a scan adds
+the signature class to a weak hit (when gcd(delta, n) = 1) before
+building its record.
+
 Each block goes through three steps.  A sieve marks the block's
 composites from the odd primes up to min(isqrt(hi), 10^4); when
 isqrt(hi) is within that bound the sieve is exact, and above it only the
@@ -37,16 +43,16 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from .frobenius import PROBABLE_PRIME, frobenius_test
+from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, is_prime_baseline, jacobi
-from .perrin import (RecurrenceParams, classify_signature, perrin_test, residue_tables,
-                     signature)
+from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
+                     residue_tables, signature)
 from .polymod import discriminant
 
-__all__ = ["SearchSpec", "run_range_search", "DEFAULT_BLOCK_SIZE", "OUTCOMES",
-           "CheckpointMismatch"]
+__all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
+           "OUTCOMES", "CheckpointMismatch"]
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 
@@ -64,30 +70,47 @@ class CheckpointMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Which test a scan runs, plus its parameters."""
+    """Which test a scan runs, plus its parameters.
+
+    The one place that knows each test: where it applies (applies), how
+    to run it (run), its recurrence (params, from r and s) and the
+    discriminant whose Jacobi symbol its records carry (delta: of poly
+    for frobenius, of the cubic of params for the Perrin tests).  Both
+    are computed once, when the spec is built."""
 
     test: str
     r: int = 0
     s: int = -1
     poly: tuple[int, ...] = (-1, -1, 0, 1)
+    params: RecurrenceParams = field(init=False, repr=False, compare=False)
+    delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
+        params = RecurrenceParams(self.r, self.s)
+        delta = discriminant(self.poly) if self.test == "frobenius" else params.delta
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "delta", delta)
         # A bad spec would otherwise scan to completion with nothing flagged.
-        if self.test == "frobenius":
-            if discriminant(self.poly) == 0:
-                raise ValueError(f"polynomial {self.poly} is not squarefree")
-        elif self.test == "perrin-full" and RecurrenceParams(self.r, self.s).delta == 0:
+        if self.test == "frobenius" and delta == 0:
+            raise ValueError(f"polynomial {self.poly} is not squarefree")
+        if self.test == "perrin-full" and delta == 0:
             raise ValueError(f"the cubic of (r, s) = ({self.r}, {self.s}) has a repeated root")
 
     def applies(self, n: int) -> bool:
         """Whether the test is defined at the odd composite n."""
         if self.test == "perrin-full":
-            return math.gcd(RecurrenceParams(self.r, self.s).delta, n) == 1
+            return math.gcd(self.delta, n) == 1
         if self.test == "frobenius":
-            return math.gcd(n, self.poly[0] * discriminant(self.poly)) != n
+            return math.gcd(n, self.poly[0] * self.delta) != n
         return True
+
+    def run(self, n: int) -> PerrinResult | FrobeniusReport:
+        """The test's result at n."""
+        if self.test == "frobenius":
+            return frobenius_test(n, self.poly)
+        return perrin_test(self.params, n, mode=self.test[len("perrin-"):])
 
     def canonical(self) -> str:
         if self.test == "frobenius":
@@ -95,52 +118,45 @@ class SearchSpec:
         return f"test={self.test};rs={self.r},{self.s}"
 
 
+def record(n: int, spec: SearchSpec, result: PerrinResult | FrobeniusReport) -> dict[str, str]:
+    """The record of spec.test at n, from spec.run(n) or a result like it.
+
+    The verdict comes from result.  class is present only when result
+    carries a signature class, and factor_found only when it has one.
+    jacobi, the symbol of spec.delta, is present for every odd n; it is
+    computed here only when result has none.
+    """
+    rec = {"n": str(n), "test": spec.test}
+    if spec.test == "frobenius":
+        rec |= {"poly": ",".join(map(str, spec.poly)), "verdict": result.verdict,
+                "degrees": ",".join(map(str, result.degrees))}
+        j, factor = None, result.factor_found
+    else:
+        rec |= {"rs": f"{spec.r},{spec.s}", "verdict": "pass" if result.passes else "fail"}
+        if result.signature_class is not None:
+            rec["class"] = str(result.signature_class)
+        j, factor = result.jacobi_symbol, None
+    if n % 2:
+        rec["jacobi"] = str(jacobi(spec.delta, n) if j is None else j)
+    if factor:
+        rec["factor_found"] = str(factor)
+    return rec
+
+
 def _record_for(n: int, spec: SearchSpec) -> dict | None:
     """The record for n if spec.test flags it, else None.
 
     n is an odd composite to which spec.test applies."""
-    if spec.test == "perrin-weak":
-        params = RecurrenceParams(spec.r, spec.s)
-        res = perrin_test(params, n, mode="weak")
-        if not res.passes:
-            return None
-        rec = {
-            "n": str(n),
-            "test": spec.test,
-            "rs": f"{spec.r},{spec.s}",
-            "verdict": "pass",
-        }
+    result = spec.run(n)
+    if not (result.verdict == PROBABLE_PRIME if spec.test == "frobenius" else result.passes):
+        return None
+    if spec.test == "perrin-weak" and math.gcd(spec.delta, n) == 1:
         # Weak hits are rare enough to afford the full classification as
         # extra evidence; it is recorded, never asserted.
-        if math.gcd(params.delta, n) == 1:
-            klass = classify_signature(params, n, signature(params, n, n))
-            rec["class"] = str(klass)
-        if res.jacobi_symbol is not None:
-            rec["jacobi"] = str(res.jacobi_symbol)
-        return rec
-    if spec.test == "perrin-full":
-        res = perrin_test(RecurrenceParams(spec.r, spec.s), n, mode="full")
-        if not res.passes:
-            return None
-        return {
-            "n": str(n),
-            "test": spec.test,
-            "rs": f"{spec.r},{spec.s}",
-            "verdict": "pass",
-            "class": str(res.signature_class),
-            "jacobi": str(res.jacobi_symbol),
-        }
-    report = frobenius_test(n, spec.poly)
-    if report.verdict != PROBABLE_PRIME:
-        return None
-    return {
-        "n": str(n),
-        "test": spec.test,
-        "poly": ",".join(map(str, spec.poly)),
-        "verdict": report.verdict,
-        "degrees": ",".join(map(str, report.degrees)),
-        "jacobi": str(jacobi(discriminant(spec.poly), n)),
-    }
+        params = spec.params
+        result = replace(result, signature_class=classify_signature(
+            params, n, signature(params, n, n)))
+    return record(n, spec, result)
 
 
 def _sieve_block(first: int, hi: int) -> tuple[bytearray, bool]:
@@ -183,7 +199,7 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
     first = max(lo | 1, 3)
     marks, exact = _sieve_block(first, hi)
     if spec.test != "frobenius":
-        _prefilter(marks, first, hi, RecurrenceParams(spec.r, spec.s))
+        _prefilter(marks, first, hi, spec.params)
     counts = dict.fromkeys(OUTCOMES, 0)
     lines = []
     for i, n in enumerate(range(first, hi + 1, 2)):

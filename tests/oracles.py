@@ -90,6 +90,29 @@ def weak_perrin_by_stepping(n: int) -> bool:
     return c == 0
 
 
+def weak_perrin_by_stepping_many(ns) -> dict[int, bool]:
+    """weak_perrin_by_stepping for each n >= 2 of ns, in one literal pass.
+
+    The Perrin numbers are stepped once modulo the product M of the
+    distinct n; each n divides M, so A_n mod n is read off A_n mod M as
+    the pass reaches index n."""
+    wanted = sorted(set(ns))
+    if wanted and wanted[0] < 2:
+        raise ValueError(f"n must be >= 2, got {wanted[0]}")
+    m = math.prod(wanted)
+    out = {}
+    a, b, c = 3 % m, 0, 2 % m  # A_k, A_{k+1}, A_{k+2} mod m, from k = 0
+    k = 0
+    for n in wanted:
+        while k < n:
+            a, b, c = b, c, b + a
+            if c >= m:
+                c -= m
+            k += 1
+        out[n] = a % n == 0
+    return out
+
+
 def weak_perrin_by_poly_trace(n: int) -> bool:
     """Independent fast route: A_k is the trace of x^k in Z[x]/(x^3-x-1),
     read off against the power sums 3, 0, 2."""

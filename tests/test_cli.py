@@ -45,6 +45,10 @@ def test_verify_frobenius(capsys):
     record = json.loads(out.split("record: ")[1])
     assert record["verdict"] == "probable-prime"
     assert record["degrees"] == "2,0"
+    assert "factor_found" not in record
+    # For x^3 - x - 1 the first stage exposes the factor 109 of 5777.
+    record = verify_number(5777, "frobenius", poly=(-1, -1, 0, 1), out=io.StringIO())
+    assert record["verdict"] == "composite" and record["factor_found"] == "109"
 
 
 def test_verify_weak_census_number(capsys):

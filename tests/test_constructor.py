@@ -9,6 +9,7 @@ from primesig import (
     PROBABLE_PRIME,
     ConstructionCertificate,
     ConstructionParams,
+    SubsetSearchResult,
     carmichael_frobenius,
     construct,
     find_k_and_primes,
@@ -19,6 +20,7 @@ from primesig import (
     splits_completely,
     subset_product_search,
 )
+from primesig import constructor
 from primesig.modarith import factorize, is_prime_baseline
 
 from oracles import subsets_by_enumeration
@@ -185,6 +187,25 @@ def test_construct_certificate_record_form():
         "L": "35",
         "poly": "-1,1",
     }
+
+
+@pytest.mark.parametrize("poly, subset, reason", [
+    ((-1, 1), (67, 331, 2311), "divisibility fails at 331,2311"),
+    ((1, 0, 1), (3, 11, 17), "no complete splitting at 3,11"),  # 561, x^2 + 1
+    ((-1, 1), (3, 11, 17), "congruence"),  # 561 is Carmichael, not 1 mod k*L
+])
+def test_construct_rejects_a_product_that_fails_reverification(monkeypatch, poly, subset,
+                                                                reason):
+    # Hand the re-verification a product the subset search would never
+    # return, and check each condition on its own.
+    monkeypatch.setattr(constructor, "subset_product_search",
+                        lambda *args: SubsetSearchResult((subset,), True))
+    params = ConstructionParams(
+        y=3, q_range=(3, 8), k_min=1, k_max=100, x_bound=3000, t_max=5, poly=poly)
+    result = construct(params)
+    n = math.prod(subset)
+    assert result.certificates == []
+    assert f"re-verification rejected {n}: {reason}" in result.diagnostics
 
 
 def test_construct_empty_harvest():

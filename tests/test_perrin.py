@@ -17,7 +17,8 @@ from primesig import (
 )
 from primesig.perrin import residue_tables
 
-from oracles import recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping
+from oracles import (recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping,
+                     weak_perrin_by_stepping_many)
 
 
 def test_params_basics():
@@ -199,6 +200,17 @@ def test_perrin_weak_flagged_values_by_literal_stepping():
     assert weak_perrin_by_stepping(271441)
     assert weak_perrin_by_stepping(904631)
     assert not weak_perrin_by_stepping(25)
+
+
+def test_stepping_many_matches_stepping_one_at_a_time():
+    # The one-pass oracle against the per-n one, on every n in [2, 600],
+    # 25, the two weak census hits and a seeded sample below 10^5.
+    rng = random.Random(7)
+    ns = set(range(2, 601)) | {25, 271441, 904631}
+    ns |= {rng.randrange(601, 10**5) for _ in range(40)}
+    many = weak_perrin_by_stepping_many(sorted(ns, reverse=True))
+    assert many == {n: weak_perrin_by_stepping(n) for n in ns}
+    assert many[271441] and many[904631] and not many[25]
 
 
 def test_perrin_weak_accepts_all_primes():

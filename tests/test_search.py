@@ -1,9 +1,12 @@
+import io
 import json
 import math
 
 import pytest
 
 from primesig import search
+from primesig.cli import verify_number
+from primesig.constructor import find_k_and_primes, subset_product_search
 from primesig.modarith import is_prime_baseline
 from primesig.perrin import RecurrenceParams, perrin_test
 from primesig.search import (
@@ -238,27 +241,43 @@ def test_perrin_full_records_carry_class(tmp_path):
 
 
 def test_records_round_trip_through_verify(tmp_path):
-    from primesig.cli import verify_number
-
-    out, _, _ = run(
-        tmp_path,
-        "rt",
-        start=3,
-        stop=3000,
-        spec=SearchSpec("frobenius", poly=(1, 0, 1)),
-    )
-    for line in out.read_text().splitlines():
+    spec = SearchSpec("frobenius", poly=(1, 0, 1))
+    out, _, _ = run(tmp_path, "rt", start=3, stop=3000, spec=spec)
+    lines = out.read_text().splitlines()
+    assert lines
+    for line in lines:
         record = json.loads(line)
-        import io
-
-        sink = io.StringIO()
+        n = int(record["n"])
+        assert search._record_for(n, spec) == record
         again = verify_number(
-            int(record["n"]), "frobenius",
-            poly=tuple(int(c) for c in record["poly"].split(",")), out=sink,
+            n, "frobenius",
+            poly=tuple(int(c) for c in record["poly"].split(",")), out=io.StringIO(),
         )
-        assert again["verdict"] == record["verdict"]
-        assert again["degrees"] == record["degrees"]
-        assert again["jacobi"] == record["jacobi"]
+        assert again == record
+
+
+def test_perrin_full_scan_and_verify_records_are_equal():
+    # The cubic-splitting Carmichael numbers over L = 720720 pass the
+    # full test, so scan and verify both record them.
+    cubic = (-1, -1, 0, 1)
+    k, pool = find_k_and_primes(720720, cubic, (1, 30), 10**6)
+    found = subset_product_search(pool, 720720, 10)
+    assert len(found.subsets) == 6
+    spec = SearchSpec("perrin-full")
+    for subset in found.subsets:
+        n = math.prod(subset)
+        record = search._record_for(n, spec)
+        assert record is not None and record["verdict"] == "pass"
+        assert verify_number(n, "perrin-full", out=io.StringIO()) == record
+
+
+def test_only_weak_scan_records_carry_class():
+    spec = SearchSpec("perrin-weak")
+    for n in (271441, 904631):
+        scanned = search._record_for(n, spec)
+        verified = verify_number(n, "perrin-weak", out=io.StringIO())
+        assert "class" in scanned and "class" not in verified
+        assert {k: v for k, v in scanned.items() if k != "class"} == verified
 
 
 def block_outcomes(lo, hi, spec, monkeypatch):
