@@ -140,7 +140,13 @@ def parse_params_file(path: str) -> ConstructionParams:
     missing = sorted(required - values.keys())
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    poly = _parse_int_list(values.get("poly", "-1,1"))
+    # poly and budget are passed only when given, so the defaults stay
+    # those of ConstructionParams.
+    optional = {}
+    if "poly" in values:
+        optional["poly"] = _parse_int_list(values["poly"])
+    if "budget" in values:
+        optional["budget"] = int(values["budget"])
     return ConstructionParams(
         y=int(values["y"]),
         q_range=(int(values["q_min"]), int(values["q_max"])),
@@ -148,8 +154,7 @@ def parse_params_file(path: str) -> ConstructionParams:
         k_max=int(values["k_max"]),
         x_bound=int(values["x_bound"]),
         t_max=int(values["t_max"]),
-        poly=poly,
-        budget=int(values.get("budget", "1000000")),
+        **optional,
     )
 
 

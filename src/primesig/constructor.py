@@ -10,9 +10,12 @@ is 1 mod k*L, so p - 1 divides n - 1 for every member: n is a squarefree
 odd composite satisfying the Korselt criterion, i.e. Carmichael, and by
 the splitting choice its prime factors all split for f.
 
-Subset hunting is meet-in-the-middle on residues mod L, so the modest
-prime pools this module targets stay comfortably cheap.  Every emitted
-certificate is re-verified from scratch before it leaves the pipeline.
+Subset hunting is meet-in-the-middle on residues mod L: one half of the
+pool is tabulated by the residues of its subsets, the other by the
+inverses of theirs, each subset held as a bitmask of the pool, so the
+modest prime pools this module targets stay comfortably cheap.  Every
+emitted certificate is re-verified from scratch before it leaves the
+pipeline.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .carmichael import KorseltCertificate, SplittingEvidence, carmichael_frobenius
 from .frobenius import splits_completely
-from .modarith import factorize, inv_mod, is_prime_baseline
-from .polymod import _require_monic, _trim, discriminant
+from .modarith import factorize, is_prime_baseline
+from .polymod import _require_squarefree, _trim
 
 __all__ = [
     "ConstructionParams",
@@ -41,23 +44,15 @@ _MAX_DIVISORS = 1 << 20
 _MAX_POOL = 64
 
 
-def _require_squarefree(poly) -> list[int]:
-    # Trimmed coefficients of a monic poly of degree >= 1 that is squarefree
-    # (nonzero discriminant) when its degree is >= 2; ValueError otherwise.
-    cs = _require_monic(poly, 1)
-    if len(cs) > 2 and discriminant(cs) == 0:
-        raise ValueError(f"poly {tuple(poly)} is not squarefree")
-    return cs
-
-
 @dataclass(frozen=True)
 class ConstructionParams:
     """Knobs for one construction run.
 
     q_range is (lo, hi]: harvest primes q with lo < q <= hi and q - 1
     y-smooth.  k runs over [k_min, k_max].  Candidate primes d*k + 1 are
-    capped by x_bound.  Subsets have sizes 3..t_max and the
-    meet-in-the-middle search examines at most budget combinations.
+    capped by x_bound.  Subsets have sizes 3..t_max, and the
+    meet-in-the-middle search takes at most budget steps; one step is one
+    new entry of a half's subset table or one examined pair of entries.
     """
 
     y: int
@@ -82,7 +77,7 @@ class ConstructionParams:
         return issues
 
     def validate(self) -> None:
-        _require_squarefree(self.poly)
+        _require_squarefree(self.poly, 1)
         if self.k_min < 1:
             raise ValueError("k_min must be >= 1")
         if self.x_bound < 3:
@@ -181,8 +176,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    cs = _require_squarefree(poly)
-    delta = discriminant(cs) if len(cs) > 2 else None
+    cs, delta = _require_squarefree(poly, 1)
     divs = _divisors(L)
     best: tuple[int, list[int]] | None = None
     for k in range(k_range[0], k_range[1] + 1):
@@ -204,21 +198,19 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     return best
 
 
-def _enumerate_half(half: list[int], L: int, budget: list[int]):
-    """All subsets of one half as (residue mod L, size, members).
+def _subset_table(factors, L: int, budget: int) -> list[tuple[int, int]]:
+    """(residue mod L, member bitmask) for the subsets of factors, a list
+    of (unit mod L, bit) pairs; a subset's residue is the product of its
+    units.
 
-    Subset extension order is deterministic; each emitted subset costs
-    one budget step.  Returns (entries, completed)."""
-    entries: list[tuple[int, int, tuple[int, ...]]] = [(1 % L, 0, ())]
-    for p in half:
-        fresh = []
-        for residue, size, members in entries:
-            if budget[0] <= 0:
-                return entries + fresh, False
-            budget[0] -= 1
-            fresh.append((residue * p % L, size + 1, members + (p,)))
-        entries.extend(fresh)
-    return entries, True
+    Built one factor at a time: each factor extends every entry so far, in
+    order.  Each new entry costs one step, so a budget that runs out cuts
+    the table to its first budget + 1 entries."""
+    table = [(1 % L, 0)]
+    for unit, bit in factors:
+        room = max(budget + 1 - len(table), 0)
+        table += [(r * unit % L, m | bit) for r, m in table[:room]]
+    return table
 
 
 def subset_product_search(primes, L: int, t_max: int,
@@ -226,9 +218,13 @@ def subset_product_search(primes, L: int, t_max: int,
     """Subsets S of the pool, 3 <= |S| <= t_max, with product(S) = 1 mod L.
 
     Meet-in-the-middle: the pool is sorted and split into halves by index
-    parity, one half is tabulated by residue, and the other is matched
-    against modular inverses.  Results come out in ascending product
-    order.  complete is False when the step budget ran out first.
+    parity.  The right half is tabulated by the residues of its primes,
+    the left half by the residues of their inverses, so a left entry's
+    residue is the key of the right entries that complete it to 1 mod L.
+    Members are bits of the sorted pool, decoded only for a match of
+    allowed size.  One step of the budget is one new table entry or one
+    examined pair.  Results come out in ascending product order.
+    complete is False when the budget ran out first.
     """
     pool = sorted(int(p) for p in primes)
     if len(pool) != len(set(pool)):
@@ -240,37 +236,35 @@ def subset_product_search(primes, L: int, t_max: int,
     for p in pool:
         if math.gcd(p, L) != 1:
             raise ValueError(f"pool member {p} shares a factor with L = {L}")
-    steps = [budget]
-    left = pool[0::2]
-    right = pool[1::2]
-    right_entries, right_done = _enumerate_half(right, L, steps)
-    by_residue: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for residue, size, members in right_entries:
-        by_residue.setdefault(residue, []).append((size, members))
-    left_entries, left_done = _enumerate_half(left, L, steps)
-    complete = right_done and left_done
-    found: list[tuple[int, tuple[int, ...]]] = []
-    for residue, size, members in left_entries:
-        if size > t_max:
+    right_factors = [(p % L, 1 << i) for i, p in enumerate(pool) if i % 2]
+    left_factors = [(pow(p, -1, L), 1 << i) for i, p in enumerate(pool) if i % 2 == 0]
+    steps = max(budget, 0)
+    right = _subset_table(right_factors, L, steps)
+    steps -= len(right) - 1
+    left = _subset_table(left_factors, L, steps)
+    steps -= len(left) - 1
+    complete = (len(right) == 1 << len(right_factors)
+                and len(left) == 1 << len(left_factors))
+    by_residue: dict[int, list[int]] = {}
+    for residue, mask in right:
+        by_residue.setdefault(residue, []).append(mask)
+    found: list[int] = []
+    for key, left_mask in left:
+        if left_mask.bit_count() > t_max:
             continue
-        # For L = 1 every residue is 0 and every product matches.
-        want = inv_mod(residue, L) if L > 1 else 0
-        for other_size, other_members in by_residue.get(want, ()):
-            if steps[0] <= 0:
-                complete = False
-                break
-            steps[0] -= 1
-            total = size + other_size
-            if total < 3 or total > t_max:
-                continue
-            subset = tuple(sorted(members + other_members))
-            product = math.prod(subset)
-            found.append((product, subset))
-        if steps[0] <= 0:
+        matches = by_residue.get(key, ())
+        examined = matches[:steps]
+        steps -= len(examined)
+        for right_mask in examined:
+            mask = left_mask | right_mask
+            if 3 <= mask.bit_count() <= t_max:
+                found.append(mask)
+        if len(examined) < len(matches):
             complete = False
             break
-    found.sort()
-    return SubsetSearchResult(tuple(s for _, s in found), complete)
+    subsets = [tuple(p for i, p in enumerate(pool) if mask >> i & 1) for mask in found]
+    subsets.sort(key=math.prod)
+    return SubsetSearchResult(tuple(subsets), complete)
 
 
 def construct(params: ConstructionParams) -> ConstructionResult:

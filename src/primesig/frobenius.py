@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .modarith import is_prime_baseline, jacobi
 from .polymod import (_compose_mod, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce,
-                      _require_monic, _trim, _xpow, discriminant)
+                      _require_monic, _require_squarefree, _trim, _xpow, discriminant)
 
 __all__ = [
     "PROBABLE_PRIME",
@@ -162,10 +162,7 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
     strictly between 1 and n is itself composite evidence, while
     gcd = n means the test does not apply and raises ValueError.
     """
-    cs = _require_monic(coeffs, 2)
-    delta = discriminant(cs)
-    if delta == 0:
-        raise ValueError("polynomial must be squarefree over the integers")
+    cs, delta = _require_squarefree(coeffs, 2)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and > 1, got {n}")
     poly = tuple(cs)

@@ -301,9 +301,10 @@ def factorize(n: int, budget: int = 4_000_000) -> Factorization:
 
     The n - 1 split costs at most eight modular powers per cofactor.  It
     splits Carmichael numbers and their divisors (each base succeeds with
-    probability at least 1/2); what it cannot split goes on to Brent.  All returned primes are certified by is_prime_baseline.  The
-    step budget counts Brent steps only; BudgetExceededError (carrying
-    partial results) is raised when it runs out.
+    probability at least 1/2); what it cannot split goes on to Brent.  All
+    returned primes are certified by is_prime_baseline.  The step budget
+    counts Brent steps only; BudgetExceededError (carrying partial
+    results) is raised when it runs out.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")

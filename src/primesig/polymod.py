@@ -2,10 +2,10 @@
 
 Polynomials are coefficient lists, lowest degree first, every
 coefficient reduced into [0, n), no trailing zeros; the zero polynomial is
-the empty list.  Remainders are only ever taken by monic divisors,
-except inside _gcmd where leading coefficients are inverted explicitly: a
-failed inversion is not an error but the outcome ("factor", d), because
-the gcd d it exposes is a nontrivial factor of the modulus.
+the empty list.  Remainders are only ever taken by monic divisors; _gcmd
+makes each divisor monic first, and a failed inversion there is not an
+error but the outcome ("factor", d), because the gcd d it exposes is a
+nontrivial factor of the modulus.
 
 This is the one engine for the rings Z/nZ[x]/(f): every power of x that
 the recurrence terms, the Frobenius stages, root recovery and splitting
@@ -14,7 +14,8 @@ _gcmd_minus_x.  A cubic f (the Perrin family) gets unrolled
 square-and-multiply kernels, one for x^e (where multiplying is a shift)
 and one for g^e with any g; other degrees share the generic product and
 remainder.  _require_monic is the one check that an integer polynomial
-from a caller is monic of a given minimum degree.
+from a caller is monic of a given minimum degree, and _require_squarefree
+the one check that it also has no repeated root.
 
 The discriminant lives here too.  It is computed over the integers (not
 mod n) as a signed resultant, so callers can reduce it by any modulus
@@ -64,6 +65,18 @@ def _require_monic(coeffs: Sequence[int], min_degree: int) -> list[int]:
     if len(cs) <= min_degree or cs[-1] != 1:
         raise ValueError(f"polynomial must be monic of degree >= {min_degree}")
     return cs
+
+
+def _require_squarefree(coeffs: Sequence[int],
+                        min_degree: int) -> tuple[list[int], int | None]:
+    # _require_monic's coefficients and their discriminant (None for
+    # degree 1), or ValueError when the discriminant is 0: a repeated root
+    # over the integers.
+    cs = _require_monic(coeffs, min_degree)
+    delta = _discriminant(tuple(cs)) if len(cs) > 2 else None
+    if delta == 0:
+        raise ValueError(f"polynomial {tuple(coeffs)} is not squarefree")
+    return cs, delta
 
 
 def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[int]]:
@@ -139,30 +152,15 @@ def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[in
     return _trim([p0, p1, p2])
 
 
-def _prem_general(a: list[int], b: list[int], n: int):
-    # Remainder of a by nonzero b.  The leading coefficient of b is
-    # inverted lazily, only once a reduction step actually happens, so a
-    # swap of already-reduced operands never manufactures a failure.
-    r = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    inv = None
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        if inv is None:
-            d = math.gcd(lc, n)
-            if d > 1:
-                return ("factor", d)
-            inv = pow(lc, -1, n)
-        quo = c * inv % n
-        r[i] = 0
-        base = i - db
-        for j in range(db):
-            r[base + j] = (r[base + j] - quo * b[j]) % n
-    del r[db:]
-    return ("ok", _trim(r))
+def _monic(g: list[int], n: int):
+    # ("found", g scaled to leading coefficient 1) for nonzero g, or
+    # ("factor", d) when d = gcd(lc(g), n) > 1 makes that impossible.
+    lc = g[-1]
+    d = math.gcd(lc, n)
+    if d > 1:
+        return ("factor", d)
+    inv = pow(lc, -1, n)
+    return ("found", [c * inv % n for c in g])
 
 
 def _gcmd(g: list[int], h: list[int], n: int):
@@ -171,23 +169,23 @@ def _gcmd(g: list[int], h: list[int], n: int):
     Returns ("found", coeffs) with coeffs monic, or ("factor", m) when a
     required inversion fails; then 1 < m < n and m divides n.  A nonzero
     constant tail with gcd(tail, n) > 1 lands in the second case, since no
-    monic gcd exists there either.
+    monic gcd exists there either.  The operand of larger degree is the
+    first dividend, so only divisors are made monic: the other operand,
+    then each remainder.
     """
     g = _reduce(g, n)
     h = _reduce(h, n)
     if not g and not h:
         raise ValueError("gcmd(0, 0) is undefined")
-    while h:
-        res = _prem_general(g, h, n)
+    if len(g) < len(h):
+        g, h = h, g
+    while len(h) > 1:
+        res = _monic(h, n)
         if res[0] == "factor":
             return res
-        g, h = h, res[1]
-    lc = g[-1]
-    d = math.gcd(lc, n)
-    if d > 1:
-        return ("factor", d)
-    inv = pow(lc, -1, n)
-    return ("found", [c * inv % n for c in g])
+        g, h = res[1], _pdivmod_monic(g, res[1], n)[1]
+    # A nonzero constant h is a unit, making the gcd 1, or it exposes a factor.
+    return _monic(h or g, n)
 
 
 def _gcmd_minus_x(power: list[int], f: Sequence[int], n: int):

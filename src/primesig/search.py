@@ -49,7 +49,7 @@ from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, is_prime_baseline, jacobi
 from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
                      residue_tables, signature)
-from .polymod import discriminant
+from .polymod import _require_squarefree
 
 __all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
            "OUTCOMES", "CheckpointMismatch"]
@@ -89,14 +89,14 @@ class SearchSpec:
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         params = RecurrenceParams(self.r, self.s)
-        delta = discriminant(self.poly) if self.test == "frobenius" else params.delta
+        if self.test == "perrin-weak":
+            delta = params.delta
+        else:
+            # A bad spec would otherwise scan to completion with nothing flagged.
+            poly = self.poly if self.test == "frobenius" else params.poly
+            delta = _require_squarefree(poly, 2)[1]
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "delta", delta)
-        # A bad spec would otherwise scan to completion with nothing flagged.
-        if self.test == "frobenius" and delta == 0:
-            raise ValueError(f"polynomial {self.poly} is not squarefree")
-        if self.test == "perrin-full" and delta == 0:
-            raise ValueError(f"the cubic of (r, s) = ({self.r}, {self.s}) has a repeated root")
 
     def applies(self, n: int) -> bool:
         """Whether the test is defined at the odd composite n."""

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from primesig import ConstructionParams
 from primesig.cli import main, parse_params_file, verify_number
 
 
@@ -253,6 +254,13 @@ def test_parse_params_file_round_trip(tmp_path):
     assert params.q_range == (10, 60)
     assert params.poly == (-1, -1, 1)
     assert params.budget == 777
+
+
+def test_parse_params_file_defaults(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("y=5\nq_min=10\nq_max=60\nk_min=2\nk_max=40\nx_bound=500\nt_max=4\n")
+    assert parse_params_file(str(cfg)) == ConstructionParams(
+        y=5, q_range=(10, 60), k_min=2, k_max=40, x_bound=500, t_max=4)
 
 
 def test_console_entry_point():

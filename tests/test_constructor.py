@@ -116,7 +116,7 @@ def test_subset_search_empty_sizes():
 def test_subset_search_matches_enumeration():
     rng = random.Random(21)
     for trial in range(30):
-        modulus = rng.choice([4, 9, 12, 35, 36, 60, 97])
+        modulus = rng.choice([1, 4, 9, 12, 35, 36, 60, 97])
         pool = []
         candidate = 2
         while len(pool) < rng.randint(6, 12):
@@ -132,6 +132,18 @@ def test_subset_search_matches_enumeration():
             modulus,
             t_max,
         )
+
+
+def test_subset_search_complete_when_budget_is_used_up_exactly():
+    # [7, 13, 19] over 36 costs 4 table steps (right half {13}, left half
+    # {7, 19}) and 2 examined pairs: the two empty subsets, and {7, 19}
+    # with {13}.  A budget of 6 examines everything.
+    full = subset_product_search([7, 13, 19], 36, 3)
+    assert full.subsets == ((7, 13, 19),)
+    for budget in range(1, 9):
+        result = subset_product_search([7, 13, 19], 36, 3, budget=budget)
+        assert result.complete == (budget >= 6), budget
+        assert set(result.subsets) <= set(full.subsets)
 
 
 def test_subset_search_budget_truncates():

@@ -90,6 +90,8 @@ def test_frobenius_rejects_bad_inputs():
         frobenius_test(9, (1, 1))  # degree 1
     with pytest.raises(ValueError):
         frobenius_test(9, (1, 0, 2))  # not monic
+    with pytest.raises(ValueError, match="not squarefree"):
+        frobenius_test(9, (1, 2, 1))  # (x + 1)^2
 
 
 def test_report_shape():

@@ -4,8 +4,8 @@ import pytest
 
 from primesig import discriminant
 
-from primesig.polymod import (_compose_mod, _gcmd, _pdivmod_monic, _ppow_monic, _require_monic,
-                              _xpow)
+from primesig.polymod import (_compose_mod, _gcmd, _pdivmod_monic, _ppow_monic, _reduce,
+                              _require_monic, _xpow)
 
 from naive_frobenius import _divmod as naive_divmod
 from naive_frobenius import _powmod as naive_powmod
@@ -137,6 +137,20 @@ def test_gcmd_result_is_monic_and_divides_both():
             continue  # the unit divides everything
         for operand in (a, b):
             assert rem(operand, out, n) == [], (a, b, out)
+
+
+def test_gcmd_does_not_depend_on_operand_order():
+    # 3 is not invertible mod 9, but 3x^2 + 1 is never a divisor here:
+    # it is x + 1 and then the remainder 4, both invertible.
+    assert _gcmd([1, 1], [1, 0, 3], 9) == _gcmd([1, 0, 3], [1, 1], 9) == ("found", [1])
+    rng = random.Random(61)
+    moduli = [4, 9, 15, 21, 25, 27, 49, 91, 105, 561, 9997]
+    for _ in range(3000):
+        n = rng.choice(moduli)
+        a = _reduce([rng.randrange(n) for _ in range(rng.randint(0, 5))], n)
+        b = [rng.randrange(n) for _ in range(rng.randint(len(a), 5))] + [rng.randrange(1, n)]
+        assert len(a) < len(b)
+        assert _gcmd(a, b, n) == _gcmd(b, a, n), (a, b, n)
 
 
 def test_gcmd_never_fails_over_prime_modulus():

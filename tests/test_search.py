@@ -54,6 +54,16 @@ def test_spec_rejects_unknown_test():
         SearchSpec("fermat")
 
 
+def test_spec_rejects_repeated_roots():
+    # (x - 1)^3 and (x + 1)^2.  The weak test keeps the degenerate cubic
+    # (test_degenerate_cubic_passes_every_odd_composite).
+    with pytest.raises(ValueError, match="not squarefree"):
+        SearchSpec("perrin-full", 3, 3)
+    with pytest.raises(ValueError, match="not squarefree"):
+        SearchSpec("frobenius", poly=(1, 2, 1))
+    assert SearchSpec("perrin-weak", 3, 3).delta == 0
+
+
 def test_frobenius_scan_finds_known_pseudoprime(tmp_path):
     out, _, summary = run(
         tmp_path,
