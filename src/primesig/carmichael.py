@@ -43,11 +43,7 @@ class KorseltCertificate:
 
     @property
     def validates(self) -> bool:
-        return (self.squarefree
-                and self.n % 2 == 1
-                and self.composite
-                and len(self.factorization.factors) >= 3
-                and all(ok for _, ok in self.checks))
+        return self.failure_reason is None
 
     @property
     def failure_reason(self) -> str | None:
@@ -83,10 +79,13 @@ class SplittingEvidence:
 
 @dataclass(frozen=True)
 class CarmichaelFrobeniusResult:
-    value: bool
     korselt: KorseltCertificate
     splitting: tuple[SplittingEvidence, ...]
     reason: str | None
+
+    @property
+    def value(self) -> bool:
+        return self.reason is None
 
     def __bool__(self) -> bool:
         return self.value
@@ -102,10 +101,10 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     cs = _require_monic(coeffs, 1)
     cert = korselt(n)
     if not cert.validates:
-        return CarmichaelFrobeniusResult(False, cert, (), cert.failure_reason)
+        return CarmichaelFrobeniusResult(cert, (), cert.failure_reason)
     if len(cs) == 2:
         # Degree 1: the splitting condition is vacuous.
-        return CarmichaelFrobeniusResult(True, cert, (), None)
+        return CarmichaelFrobeniusResult(cert, (), None)
     delta = discriminant(cs)
     evidence = []
     for p in cert.factorization.primes():
@@ -113,9 +112,6 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
             evidence.append(SplittingEvidence(p, False, ramified=True))
         else:
             evidence.append(SplittingEvidence(p, splits_completely(p, cs)))
-    value = all(e.splits for e in evidence)
-    reason = None
-    if not value:
-        bad = [str(e.p) for e in evidence if not e.splits]
-        reason = f"no complete splitting at {','.join(bad)}"
-    return CarmichaelFrobeniusResult(value, cert, tuple(evidence), reason)
+    bad = [str(e.p) for e in evidence if not e.splits]
+    reason = f"no complete splitting at {','.join(bad)}" if bad else None
+    return CarmichaelFrobeniusResult(cert, tuple(evidence), reason)

@@ -11,9 +11,11 @@ odd composite satisfying the Korselt criterion, i.e. Carmichael, and by
 the splitting choice its prime factors all split for f.
 
 Subset hunting is meet-in-the-middle on residues mod L: one half of the
-pool is tabulated by the residues of its subsets, the other by the
-inverses of theirs, each subset held as a bitmask of the pool, so the
-modest prime pools this module targets stay comfortably cheap.  Every
+pool is tabulated by the residues of its subsets of at most t_max
+members, the other by the inverses of theirs, each subset held as a
+bitmask of the pool, so the modest prime pools this module targets stay
+comfortably cheap.  The tables share one step budget and the pair scan
+has one of its own, so a cut table still leaves pairs to examine.  Every
 emitted certificate is re-verified from scratch before it leaves the
 pipeline.
 """
@@ -50,9 +52,10 @@ class ConstructionParams:
 
     q_range is (lo, hi]: harvest primes q with lo < q <= hi and q - 1
     y-smooth.  k runs over [k_min, k_max].  Candidate primes d*k + 1 are
-    capped by x_bound.  Subsets have sizes 3..t_max, and the
-    meet-in-the-middle search takes at most budget steps; one step is one
-    new entry of a half's subset table or one examined pair of entries.
+    capped by x_bound.  Subsets have sizes 3..t_max.  The
+    meet-in-the-middle search makes at most budget new table entries, each
+    a subset of at most t_max members of one half, and then examines at
+    most budget pairs of entries.
     """
 
     y: int
@@ -154,14 +157,6 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _splits_for(p: int, cs: list[int], delta: int | None) -> bool:
-    if len(cs) == 2:
-        return True
-    if delta is not None and delta % p == 0:
-        return False  # ramified primes never split completely
-    return splits_completely(p, cs)
-
-
 def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
                       x_bound: int) -> tuple[int, list[int]] | None:
     """Best multiplier k in k_range and its pool of usable primes.
@@ -187,9 +182,11 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
             p = d * k + 1
             if p > x_bound:
                 break  # divisors ascend, so every later p is too big
-            if p == 2 or L % p == 0:
+            if p == 2 or L % p == 0 or not is_prime_baseline(p):
                 continue
-            if is_prime_baseline(p) and _splits_for(p, cs, delta):
+            # Splitting is vacuous in degree 1 (delta is None); a ramified
+            # p, dividing delta, never splits completely.
+            if delta is None or (delta % p and splits_completely(p, cs)):
                 pool.append(p)
         if best is None or len(pool) > len(best[1]):
             best = (k, pool)
@@ -198,19 +195,23 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     return best
 
 
-def _subset_table(factors, L: int, budget: int) -> list[tuple[int, int]]:
-    """(residue mod L, member bitmask) for the subsets of factors, a list
-    of (unit mod L, bit) pairs; a subset's residue is the product of its
-    units.
+def _subset_table(factors, L: int, t_max: int,
+                  room: int) -> tuple[list[tuple[int, int]], bool]:
+    """(residue mod L, member bitmask) for the subsets of at most t_max of
+    factors, a list of (unit mod L, bit) pairs; a subset's residue is the
+    product of its units.
 
-    Built one factor at a time: each factor extends every entry so far, in
-    order.  Each new entry costs one step, so a budget that runs out cuts
-    the table to its first budget + 1 entries."""
+    Built one factor at a time: each factor extends every entry so far
+    with fewer than t_max members, in order.  At most room new entries
+    are made; the flag is False when some such subset did not fit."""
     table = [(1 % L, 0)]
     for unit, bit in factors:
-        room = max(budget + 1 - len(table), 0)
-        table += [(r * unit % L, m | bit) for r, m in table[:room]]
-    return table
+        grown = [(r * unit % L, m | bit) for r, m in table if m.bit_count() < t_max]
+        table += grown[:room]
+        room -= len(grown)
+        if room < 0:
+            return table, False
+    return table, True
 
 
 def subset_product_search(primes, L: int, t_max: int,
@@ -221,10 +222,11 @@ def subset_product_search(primes, L: int, t_max: int,
     parity.  The right half is tabulated by the residues of its primes,
     the left half by the residues of their inverses, so a left entry's
     residue is the key of the right entries that complete it to 1 mod L.
-    Members are bits of the sorted pool, decoded only for a match of
-    allowed size.  One step of the budget is one new table entry or one
-    examined pair.  Results come out in ascending product order.
-    complete is False when the budget ran out first.
+    Tables hold only subsets of at most t_max members.  Members are bits
+    of the sorted pool, decoded only for a match of allowed size.  The two
+    tables share budget new entries, and the pair scan examines up to
+    budget pairs of its own.  Results come out in ascending product order.
+    complete is False when either allowance ran out first.
     """
     pool = sorted(int(p) for p in primes)
     if len(pool) != len(set(pool)):
@@ -238,28 +240,23 @@ def subset_product_search(primes, L: int, t_max: int,
             raise ValueError(f"pool member {p} shares a factor with L = {L}")
     right_factors = [(p % L, 1 << i) for i, p in enumerate(pool) if i % 2]
     left_factors = [(pow(p, -1, L), 1 << i) for i, p in enumerate(pool) if i % 2 == 0]
-    steps = max(budget, 0)
-    right = _subset_table(right_factors, L, steps)
-    steps -= len(right) - 1
-    left = _subset_table(left_factors, L, steps)
-    steps -= len(left) - 1
-    complete = (len(right) == 1 << len(right_factors)
-                and len(left) == 1 << len(left_factors))
+    budget = max(budget, 0)
+    right, right_full = _subset_table(right_factors, L, t_max, budget)
+    left, left_full = _subset_table(left_factors, L, t_max, budget + 1 - len(right))
+    complete = right_full and left_full
     by_residue: dict[int, list[int]] = {}
     for residue, mask in right:
         by_residue.setdefault(residue, []).append(mask)
     found: list[int] = []
+    pairs = budget
     for key, left_mask in left:
-        if left_mask.bit_count() > t_max:
-            continue
         matches = by_residue.get(key, ())
-        examined = matches[:steps]
-        steps -= len(examined)
-        for right_mask in examined:
+        for right_mask in matches[:pairs]:
             mask = left_mask | right_mask
             if 3 <= mask.bit_count() <= t_max:
                 found.append(mask)
-        if len(examined) < len(matches):
+        pairs -= len(matches)
+        if pairs < 0:
             complete = False
             break
     subsets = [tuple(p for i, p in enumerate(pool) if mask >> i & 1) for mask in found]
@@ -274,8 +271,7 @@ def construct(params: ConstructionParams) -> ConstructionResult:
     params.validate()
     result = ConstructionResult()
     result.diagnostics.extend(params.problems())
-    lo, hi = params.q_range
-    harvested = harvest_smooth_primes((lo, hi), params.y) if lo < hi else []
+    harvested = harvest_smooth_primes(params.q_range, params.y)
     result.harvested = tuple(harvested)
     if not harvested:
         result.diagnostics.append("harvest stage: no primes with a smooth q - 1")

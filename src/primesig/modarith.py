@@ -99,8 +99,9 @@ def inv_mod(a: int, n: int) -> int:
 
 
 # Witness sets for the strong-probable-prime rounds.  The four-prime set is
-# deterministic below 3_215_031_751, the twelve-prime set below ~3.3e24,
-# which covers the whole 64-bit range.
+# deterministic below 3_215_031_751, the twelve-prime set below
+# psi_12 = 318665857834031151167461 ~ 3.2e23 (Sorenson and Webster, Math.
+# Comp. 86, 2017), which covers the whole 64-bit range.
 _MR_BASES_SMALL = (2, 3, 5, 7)
 _MR_BASES_WIDE = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_SMALL_LIMIT = 3_215_031_751

@@ -136,14 +136,38 @@ def test_subset_search_matches_enumeration():
 
 def test_subset_search_complete_when_budget_is_used_up_exactly():
     # [7, 13, 19] over 36 costs 4 table steps (right half {13}, left half
-    # {7, 19}) and 2 examined pairs: the two empty subsets, and {7, 19}
-    # with {13}.  A budget of 6 examines everything.
+    # {7, 19}) and, from the pair scan's own allowance, 2 examined pairs:
+    # the two empty subsets, and {7, 19} with {13}.  A budget of 4 covers
+    # both.
     full = subset_product_search([7, 13, 19], 36, 3)
     assert full.subsets == ((7, 13, 19),)
     for budget in range(1, 9):
         result = subset_product_search([7, 13, 19], 36, 3, budget=budget)
-        assert result.complete == (budget >= 6), budget
+        assert result.complete == (budget >= 4), budget
+        if result.complete:
+            assert result.subsets == full.subsets, budget
         assert set(result.subsets) <= set(full.subsets)
+
+
+def test_subset_search_tables_skip_subsets_above_t_max():
+    # Each half of 10 primes has 176 subsets of at most 3 members against
+    # 1024 in all, so the tables fit in the budget only without the rest.
+    pool = [p for p in range(11, 200) if is_prime_baseline(p)][:20]
+    result = subset_product_search(pool, 36, 3, budget=3000)
+    assert result.complete
+    expected = subsets_by_enumeration(pool, 36, 3)
+    assert result.subsets == tuple(expected) and len(expected) == 103
+
+
+def test_subset_search_table_cut_leaves_pairs():
+    pool = [p for p in range(3, 200) if is_prime_baseline(p) and p != 5][:18]
+    full = subset_product_search(pool, 5, 5)
+    assert full.complete
+    for budget in (100, 500, 1023):
+        result = subset_product_search(pool, 5, 5, budget=budget)
+        assert not result.complete, budget
+        assert result.subsets, budget
+        assert set(result.subsets) <= set(full.subsets), budget
 
 
 def test_subset_search_budget_truncates():

@@ -115,6 +115,16 @@ def test_is_prime_baseline_strong_pseudoprime_traps():
     assert not is_prime_baseline(((1 << 61) - 1) ** 2)
 
 
+def test_lucas_layer_rejects_psi12():
+    # psi_12, the least strong pseudoprime to all twelve wide bases
+    # (Sorenson and Webster, 2017): only the strong Lucas check rejects it.
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    assert all(primesig.modarith._strong_probable_prime(psi12, base)
+               for base in primesig.modarith._MR_BASES_WIDE)
+    assert not is_prime_baseline(psi12)
+
+
 def test_factorize_known_values():
     assert factorize(12).as_dict() == {2: 2, 3: 1}
     assert factorize(561).as_dict() == {3: 1, 11: 1, 17: 1}
