@@ -34,7 +34,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _rs_and_poly(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # The --rs and --poly values, or their defaults.
+    # The --rs and --poly values, or their defaults.  Only the Perrin tests
+    # read --rs and only frobenius reads --poly; the other option is an error.
+    if args.rs and not args.test.startswith("perrin-"):
+        raise ValueError(f"--rs is read by the Perrin tests only, not by {args.test}")
+    if args.poly and args.test != "frobenius":
+        raise ValueError(f"--poly is read by frobenius only, not by {args.test}")
     rs = (0, -1)
     if args.rs:
         rs = _parse_int_list(args.rs)

@@ -70,7 +70,8 @@ class ConstructionParams:
     def problems(self) -> list[str]:
         issues = []
         if self.y < 2:
-            issues.append(f"smoothness bound y = {self.y} below 2 harvests nothing")
+            issues.append(f"smoothness bound y = {self.y} below 2 harvests at most "
+                          "q = 2, and no pool can reach three primes")
         if self.q_range[0] >= self.q_range[1]:
             issues.append(f"harvest interval {self.q_range} is empty")
         if self.t_max < 3:

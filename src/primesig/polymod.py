@@ -17,15 +17,17 @@ remainder.  _require_monic is the one check that an integer polynomial
 from a caller is monic of a given minimum degree, and _require_squarefree
 the one check that it also has no repeated root.
 
-The discriminant lives here too.  It is computed over the integers (not
-mod n) as a signed resultant, so callers can reduce it by any modulus
-they like afterwards.  It is memoised per polynomial, since a scan asks
-for the same one at every n.
+The discriminant lives here too.  It is computed exactly (not mod n) as
+the signed resultant of f and f', by Euclid's remainder recursion over
+the rationals, so callers can reduce it by any modulus they like
+afterwards.  It is memoised per polynomial, since a scan asks for the
+same one at every n.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -209,51 +211,8 @@ def _compose_mod(f: list[int], g: list[int], n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Integer discriminant via the resultant of f and f'.
-
-def _det_bareiss(mat: list[list[int]]) -> int:
-    # Fraction-free Gaussian elimination; exact over the integers.
-    m = [row[:] for row in mat]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def _sylvester(f_high: list[int], g_high: list[int]) -> list[list[int]]:
-    # Coefficients highest degree first; matrix of size deg f + deg g.
-    df = len(f_high) - 1
-    dg = len(g_high) - 1
-    size = df + dg
-    rows = []
-    for i in range(dg):
-        rows.append([0] * i + f_high + [0] * (size - i - df - 1))
-    for i in range(df):
-        rows.append([0] * i + g_high + [0] * (size - i - dg - 1))
-    return rows
-
-
-def _resultant(f_low: list[int], g_low: list[int]) -> int:
-    return _det_bareiss(_sylvester(list(reversed(f_low)), list(reversed(g_low))))
-
+# Integer discriminant: the resultant of f and f' by Euclid's recursion
+# over Q (Cohen, A Course in Computational Algebraic Number Theory, 3.3).
 
 def discriminant(coeffs: Sequence[int]) -> int:
     """Discriminant of a monic integer polynomial of degree >= 2.
@@ -266,8 +225,24 @@ def discriminant(coeffs: Sequence[int]) -> int:
 
 @lru_cache(maxsize=64)
 def _discriminant(cs: tuple[int, ...]) -> int:
-    # cs is trimmed and monic of degree >= 2.
+    # cs is trimmed and monic of degree >= 2.  With r = f mod g,
+    # Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), down
+    # to Res(f, c) = c^(deg f) for a nonzero constant c.  A zero remainder
+    # is a common factor of f and f': a repeated root, discriminant 0.
     d = len(cs) - 1
-    deriv = [i * cs[i] for i in range(1, d + 1)]
-    res = _resultant(list(cs), deriv)
-    return -res if (d * (d - 1) // 2) % 2 else res
+    f = [Fraction(c) for c in cs]
+    g = [i * f[i] for i in range(1, d + 1)]
+    res = Fraction((-1) ** (d * (d - 1) // 2))
+    while len(g) > 1:
+        # r = f mod g, by long division over Q.
+        r, dg = f[:], len(g) - 1
+        for i in range(len(f) - 1, dg - 1, -1):
+            q = r[i] / g[-1]
+            for j, gj in enumerate(g):
+                r[i - dg + j] -= q * gj
+        r = _trim(r[:dg])
+        if not r:
+            return 0
+        res *= (-1) ** ((len(f) - 1) * (len(g) - 1)) * g[-1] ** (len(f) - len(r))
+        f, g = g, r
+    return int(res * g[0] ** (len(f) - 1))

@@ -78,6 +78,18 @@ def test_verify_bad_rs_exits_one(capsys):
     assert main(["verify", "7", "--test", "perrin-weak", "--rs", "zero,cat"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["271441", "--test", "perrin-weak", "--poly=1,0,1"],
+    ["271441", "--test", "frobenius", "--rs", "5,7"],
+    ["561", "--test", "korselt", "--rs", "5,7"],
+])
+def test_verify_option_the_test_does_not_read_exits_one(capsys, args):
+    assert main(["verify", *args]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert "is read by" in streams.err
+
+
 def test_verify_number_function_returns_record():
     sink = io.StringIO()
     record = verify_number(59, "frobenius", poly=(-1, -1, 0, 1), out=sink)
@@ -143,6 +155,8 @@ def test_search_cli_roundtrip(tmp_path, capsys):
     ["--test", "frobenius", "--poly=5,1"],  # degree 1
     ["--test", "frobenius", "--poly=1,0,2"],  # not monic
     ["--test", "perrin-full", "--rs=3,3"],  # (x - 1)^3
+    ["--test", "perrin-full", "--poly=1,2,1"],  # the Perrin tests read --rs only
+    ["--test", "frobenius", "--rs=5,7"],  # frobenius reads --poly only
 ])
 def test_search_bad_spec_exits_one_before_scanning(tmp_path, capsys, args):
     out = tmp_path / "x.jsonl"

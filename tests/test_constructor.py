@@ -282,3 +282,12 @@ def test_params_problem_diagnostics():
     )
     notes = params.problems()
     assert len(notes) >= 3
+    # q - 1 = 1 is vacuously smooth, so y = 1 still harvests 2; with L = 2
+    # every pool d*k + 1 (d = 1, 2) holds at most two primes.
+    result = construct(ConstructionParams(
+        y=1, q_range=(1, 7), k_min=1, k_max=50, x_bound=3000, t_max=5))
+    assert result.harvested == (2,) and result.modulus == 2
+    assert not result.certificates and result.pool == ()
+    assert result.diagnostics[0] == ("smoothness bound y = 1 below 2 harvests at most "
+                                     "q = 2, and no pool can reach three primes")
+    assert "multiplier stage: no k produced three usable split primes" in result.diagnostics

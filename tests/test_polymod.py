@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -201,6 +203,10 @@ def test_discriminant_known_values():
     assert discriminant((-1, -1, 0, 1)) == -23  # x^3 - x - 1
     assert discriminant((1, 0, 1)) == -4  # x^2 + 1
     assert discriminant((-2, 0, 0, 1)) == -108  # x^3 - 2
+    # Sparse ones, whose remainder degrees skip: -27 + 256 for x^4 + x + 1,
+    # and -3^9 for the cyclotomic x^6 + x^3 + 1.
+    assert discriminant((1, 1, 0, 0, 1)) == 229
+    assert discriminant((1, 0, 0, 1, 0, 0, 1)) == -19683
 
 
 def test_discriminant_rejects_degenerate_input():
@@ -222,6 +228,26 @@ def test_discriminant_matches_sylvester_oracle():
         degree = rng.randint(2, 5)
         coeffs = random_monic(degree, rng)
         assert discriminant(tuple(coeffs)) == discriminant_by_sylvester(coeffs), coeffs
+
+
+def test_discriminant_from_integer_roots():
+    # disc(prod (x - r_i)) = prod_{i<j} (r_i - r_j)^2, so it is 0 exactly
+    # when a root repeats.  Reaches degrees and zero values that the
+    # cofactor oracle above is too slow or too sparse to cover.
+    rng = random.Random(89)
+    zeros = 0
+    for _ in range(300):
+        roots = [rng.randint(-50, 50) for _ in range(rng.randint(2, 8))]
+        if rng.random() < 0.3:
+            roots[-1] = rng.choice(roots[:-1])
+        coeffs = [1]
+        for r in roots:  # multiply by (x - r), lowest degree first
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        expected = math.prod((a - b) ** 2 for a, b in combinations(roots, 2))
+        assert discriminant(coeffs) == expected, roots
+        assert (expected == 0) == (len(set(roots)) < len(roots))
+        zeros += expected == 0
+    assert zeros >= 50
 
 
 def test_discriminant_vanishes_exactly_at_ramified_primes():
