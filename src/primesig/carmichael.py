@@ -54,11 +54,8 @@ class KorseltCertificate:
         if self.n % 2 == 0:
             return "even"
         bad = [p for p, ok in self.checks if not ok]
-        if bad:
-            return f"divisibility fails at {','.join(map(str, bad))}"
-        if len(self.factorization.factors) < 3:
-            return "fewer than three prime factors"
-        return None
+        # Two primes never pass: for n = pq, p < q, q - 1 cannot divide p(q - 1) + p - 1.
+        return f"divisibility fails at {','.join(map(str, bad))}" if bad else None
 
 
 def korselt(n: int) -> KorseltCertificate:
@@ -95,8 +92,9 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     """Does n satisfy the Korselt conditions with every prime factor
     splitting completely for the monic polynomial f?
 
-    A ramified prime (dividing the discriminant of f) does not split,
-    so it yields a negative answer with evidence rather than an error.
+    Each prime factor's evidence says whether it splits and whether it
+    is ramified (divides the discriminant of f); a ramified prime does
+    not split, so it yields a negative answer rather than an error.
     """
     cs = _require_monic(coeffs, 1)
     cert = korselt(n)
@@ -106,12 +104,8 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
         # Degree 1: the splitting condition is vacuous.
         return CarmichaelFrobeniusResult(cert, (), None)
     delta = discriminant(cs)
-    evidence = []
-    for p in cert.factorization.primes():
-        if delta % p == 0:
-            evidence.append(SplittingEvidence(p, False, ramified=True))
-        else:
-            evidence.append(SplittingEvidence(p, splits_completely(p, cs)))
+    evidence = [SplittingEvidence(p, splits_completely(p, cs), ramified=delta % p == 0)
+                for p in cert.factorization.primes()]
     bad = [str(e.p) for e in evidence if not e.splits]
     reason = f"no complete splitting at {','.join(bad)}" if bad else None
     return CarmichaelFrobeniusResult(cert, tuple(evidence), reason)

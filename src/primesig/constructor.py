@@ -172,7 +172,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    cs, delta = _require_squarefree(poly, 1)
+    cs = _require_squarefree(poly, 1)[0]
     divs = _divisors(L)
     best: tuple[int, list[int]] | None = None
     for k in range(k_range[0], k_range[1] + 1):
@@ -185,9 +185,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
                 break  # divisors ascend, so every later p is too big
             if p == 2 or L % p == 0 or not is_prime_baseline(p):
                 continue
-            # Splitting is vacuous in degree 1 (delta is None); a ramified
-            # p, dividing delta, never splits completely.
-            if delta is None or (delta % p and splits_completely(p, cs)):
+            if splits_completely(p, cs):
                 pool.append(p)
         if best is None or len(pool) > len(best[1]):
             best = (k, pool)

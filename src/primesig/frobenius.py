@@ -189,9 +189,9 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
 def splits_completely(p: int, coeffs) -> bool:
     """True iff f factors into distinct linear pieces mod the prime p.
 
-    Requires p certified prime by the baseline oracle and, for degree
-    >= 2, p not dividing the discriminant (no repeated roots mod p).
-    Degree-1 polynomials split at every prime.
+    Requires p certified prime by the baseline oracle.  A ramified p,
+    dividing the discriminant, gives a repeated root mod p, so the
+    answer is False.  Degree-1 polynomials split at every prime.
     """
     if not is_prime_baseline(p):
         raise ValueError(f"{p} is not prime")
@@ -200,7 +200,7 @@ def splits_completely(p: int, coeffs) -> bool:
     if d == 1:
         return True
     if discriminant(cs) % p == 0:
-        raise ValueError(f"{p} divides the discriminant (ramified)")
+        return False
     f = _reduce(cs, p)
     out = _gcmd_minus_x(_xpow(p, f, p), f, p)
     if out[0] != "found":

@@ -13,15 +13,15 @@ and for `primesig verify` alike; the one difference is that a scan adds
 the signature class to a weak hit (when gcd(delta, n) = 1) before
 building its record.
 
-Each block goes through three steps.  A sieve marks the block's
-composites from the odd primes up to min(isqrt(hi), 10^4); when
-isqrt(hi) is within that bound the sieve is exact, and above it only the
-unmarked n are put to is_prime_baseline.  For the two Perrin tests a
-prefilter then rejects each odd multiple n != p of a prime p <= 59
-whose A(n) mod p, read from the period table of A mod p
-(perrin.residue_tables), differs from r mod p: such an n cannot have
-A(n) = r mod n.  Frobenius scans get the sieve but no prefilter.  Only
-the composites that remain, and to which the test applies, run it.
+Each block gets one marking pass, then the test.  The pass marks 1 the
+block's composites with an odd prime factor up to min(isqrt(hi), 10^4);
+when isqrt(hi) is within that bound the sieve is exact, and above it
+only the unmarked n are put to is_prime_baseline.  It then marks 2 each
+odd multiple n != p of a prime p of SearchSpec.tables whose A(n) mod p,
+read from the period table of A mod p (perrin.residue_tables), differs
+from r mod p: such an n cannot have A(n) = r mod n.  Only the two Perrin
+tests have tables; Frobenius scans get the sieve alone.  Only the
+composites that remain, and to which the test applies, run it.
 
 The range is cut into fixed-size blocks (default 2**16).  Workers scan
 blocks in parallel but the parent writes results strictly in block
@@ -32,7 +32,8 @@ stores a hash of the search parameters so a resume against different
 parameters fails loudly, the byte offset of the output file, to which
 the file is truncated on resume so a kill mid-block cannot leave
 half-written lines behind, and the outcome counts so far, so totals
-after a resume equal those of an uninterrupted run.
+after a resume equal those of an uninterrupted run.  A run stops only at
+the end of its range or when it is killed.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ class SearchSpec:
             return frobenius_test(n, self.poly)
         return perrin_test(self.params, n, mode=self.test[len("perrin-"):])
 
+    @property
+    def tables(self) -> tuple[tuple[int, bytes], ...]:
+        """The prefilter's (p, table) pairs: perrin.residue_tables for the
+        Perrin tests, none for frobenius."""
+        return () if self.test == "frobenius" else residue_tables(self.params)
+
     def canonical(self) -> str:
         if self.test == "frobenius":
             return f"test={self.test};poly={','.join(map(str, self.poly))}"
@@ -159,12 +166,20 @@ def _record_for(n: int, spec: SearchSpec) -> dict | None:
     return record(n, spec, result)
 
 
-def _sieve_block(first: int, hi: int) -> tuple[bytearray, bool]:
+def _odd_multiple_index(p: int, bound: int, first: int) -> int:
+    # The index (n - first) / 2 of the least odd multiple n >= bound of
+    # the odd p; first is odd.
+    return ((-(-bound // p) | 1) * p - first) >> 1
+
+
+def _mark_block(first: int, hi: int, tables) -> tuple[bytearray, bool]:
     """Marks for the odd n = first + 2*i <= hi (first odd, >= 3).
 
     marks[i] is 1 when n has an odd prime factor p < n with
-    p <= min(isqrt(hi), 10^4).  The flag says whether that bound reached
-    isqrt(hi); then every unmarked n is prime."""
+    p <= min(isqrt(hi), 10^4); the flag says whether that bound reached
+    isqrt(hi), so that every unmarked n is prime.  Then marks[i] is 2
+    when n != p is an odd multiple of a prime p of tables, the (p, table)
+    pairs of SearchSpec.tables, whose table rejects n."""
     size = len(range(first, hi + 1, 2))
     marks = bytearray(size)
     ones = memoryview(b"\x01" * size)
@@ -172,34 +187,22 @@ def _sieve_block(first: int, hi: int) -> tuple[bytearray, bool]:
     for p in _small_primes()[1:]:
         if p > root:
             break
-        m = max(p * p, -(-first // p) * p)
-        if m % 2 == 0:
-            m += p
-        i = (m - first) // 2
+        i = _odd_multiple_index(p, max(p * p, first), first)
         if i < size:
             marks[i::p] = ones[:len(range(i, size, p))]
-    return marks, root <= _TRIAL_LIMIT
-
-
-def _prefilter(marks: bytearray, first: int, hi: int, params: RecurrenceParams) -> None:
-    # Set marks[i] = 2 for each odd multiple n = first + 2*i of a table
-    # prime p, other than p itself, with A(n) != r mod p.
-    for p, table in residue_tables(params):
+    for p, table in tables:
         period = len(table)
-        m = max(3 * p, -(-first // p) * p)
-        if m % 2 == 0:
-            m += p
-        for n in range(m, hi + 1, 2 * p):
+        for n in range(first + 2 * _odd_multiple_index(p, max(3 * p, first), first),
+                       hi + 1, 2 * p):
             if not table[n % period]:
                 marks[(n - first) >> 1] = 2
+    return marks, root <= _TRIAL_LIMIT
 
 
 def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
     index, lo, hi, spec = args
     first = max(lo | 1, 3)
-    marks, exact = _sieve_block(first, hi)
-    if spec.test != "frobenius":
-        _prefilter(marks, first, hi, spec.params)
+    marks, exact = _mark_block(first, hi, spec.tables)
     counts = dict.fromkeys(OUTCOMES, 0)
     lines = []
     for i, n in enumerate(range(first, hi + 1, 2)):
@@ -239,15 +242,13 @@ def _write_checkpoint(path: str, state: dict) -> None:
 def run_range_search(start: int, stop: int, spec: SearchSpec, *,
                      workers: int = 1, out_path: str,
                      checkpoint_path: str | None = None, resume: bool = False,
-                     block_size: int = DEFAULT_BLOCK_SIZE,
-                     stop_after_blocks: int | None = None) -> dict:
+                     block_size: int = DEFAULT_BLOCK_SIZE) -> dict:
     """Scan [start, stop] and write flagged records to out_path.
 
     Returns a summary dict with the scanned and flagged counts, the
     count of each outcome (they add up to scanned) and the wall-clock
-    duration.  stop_after_blocks ends the run early at a checkpoint
-    boundary (for testing kill/resume); resume continues a checkpointed
-    run and requires matching parameters.
+    duration.  resume continues a checkpointed run and requires matching
+    parameters; resuming a finished run scans and writes nothing.
     """
     if start < 3:
         start = 3
@@ -287,22 +288,6 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
     else:
         out = open(out_path, "wb")
 
-    def checkpoint(blocks_done: int) -> None:
-        if checkpoint_path is None:
-            return
-        # The records must be on disk before a checkpoint that counts them.
-        os.fsync(out.fileno())
-        _write_checkpoint(checkpoint_path, {
-            "version": 2,
-            "hash": digest,
-            "from": str(start),
-            "to": str(stop),
-            "block_size": block_size,
-            "blocks_done": blocks_done,
-            "bytes_written": offset,
-            "outcomes": outcomes,
-        })
-
     def block_args():
         for index in range(first_block, total_blocks):
             lo = start + index * block_size
@@ -310,34 +295,39 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
             yield index, lo, hi, spec
 
     done = first_block
+    procs = min(workers, total_blocks - first_block)
+    pool = None
     try:
-        if first_block < total_blocks:
-            procs = min(workers, total_blocks - first_block)
-            if procs == 1:
-                results = map(_scan_block, block_args())
-                pool = None
-            else:
-                pool = multiprocessing.Pool(procs)
-                results = pool.imap(_scan_block, block_args(), chunksize=1)
-            try:
-                for index, lines, counts in results:
-                    payload = "".join(line + "\n" for line in lines).encode("utf-8")
-                    out.write(payload)
-                    out.flush()
-                    offset += len(payload)
-                    for outcome, count in counts.items():
-                        outcomes[outcome] += count
-                    done = index + 1
-                    checkpoint(done)
-                    if stop_after_blocks is not None and done - first_block >= stop_after_blocks:
-                        break
-            finally:
-                if pool is not None:
-                    pool.terminate()
-                    pool.join()
+        if procs > 1:
+            pool = multiprocessing.Pool(procs)
+            results = pool.imap(_scan_block, block_args(), chunksize=1)
         else:
-            checkpoint(done)
+            results = map(_scan_block, block_args())
+        for index, lines, counts in results:
+            payload = "".join(line + "\n" for line in lines).encode("utf-8")
+            out.write(payload)
+            out.flush()
+            offset += len(payload)
+            for outcome, count in counts.items():
+                outcomes[outcome] += count
+            done = index + 1
+            if checkpoint_path is not None:
+                # The records must be on disk before a checkpoint that counts them.
+                os.fsync(out.fileno())
+                _write_checkpoint(checkpoint_path, {
+                    "version": 2,
+                    "hash": digest,
+                    "from": str(start),
+                    "to": str(stop),
+                    "block_size": block_size,
+                    "blocks_done": done,
+                    "bytes_written": offset,
+                    "outcomes": outcomes,
+                })
     finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
         out.close()
     return {
         "scanned": sum(outcomes.values()),

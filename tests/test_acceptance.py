@@ -29,6 +29,7 @@ from primesig import (
     korselt,
     perrin_test,
     run_range_search,
+    search,
     sequence_term,
     signature,
     splits_completely,
@@ -48,11 +49,15 @@ def _report(num: int, title: str, ok: bool, detail: str) -> None:
           flush=True)
 
 
+class Killed(Exception):
+    """A kill after a block's records were written, before its checkpoint."""
+
+
 @pytest.fixture(scope="session")
 def census(tmp_path_factory):
     """Three sweeps of the odd range [3, 10^6] with the weak test:
-    8 workers, 1 worker, and 8 workers killed at the midpoint block
-    then resumed.  Checks 2 and 10 read these."""
+    8 workers, 1 worker, and 8 workers killed while committing the block
+    after the midpoint, then resumed.  Checks 2 and 10 read these."""
     base = tmp_path_factory.mktemp("census")
     spec = SearchSpec("perrin-weak")
     runs = {}
@@ -67,10 +72,20 @@ def census(tmp_path_factory):
     half = runs["w8"]["summary"]["blocks_total"] // 2
     out = base / "resumed.jsonl"
     ck = base / "resumed.ck"
-    partial = run_range_search(
-        CENSUS_START, CENSUS_STOP, spec, workers=8, out_path=str(out),
-        checkpoint_path=str(ck), block_size=CENSUS_BLOCK,
-        stop_after_blocks=half)
+    real = search._write_checkpoint
+
+    def killed_at_half(path, state):
+        if state["blocks_done"] > half:
+            raise Killed
+        real(path, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_write_checkpoint", killed_at_half)
+        with pytest.raises(Killed):
+            run_range_search(
+                CENSUS_START, CENSUS_STOP, spec, workers=8, out_path=str(out),
+                checkpoint_path=str(ck), block_size=CENSUS_BLOCK)
+    partial = json.loads(ck.read_text())
     summary = run_range_search(
         CENSUS_START, CENSUS_STOP, spec, workers=8, out_path=str(out),
         checkpoint_path=str(ck), block_size=CENSUS_BLOCK, resume=True)

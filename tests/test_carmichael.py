@@ -9,7 +9,7 @@ from primesig import (
     korselt,
 )
 
-from oracles import fermat_carmichael
+from oracles import fermat_carmichael, sieve
 
 # 561 = 3*11*17 is the smallest Carmichael number; the list below 10^4
 # is classical.
@@ -31,11 +31,24 @@ def test_korselt_rejections():
     assert korselt(17).failure_reason == "prime"
     assert korselt(15).failure_reason == "divisibility fails at 5"  # 4 | 14 fails
     assert korselt(105).failure_reason == "divisibility fails at 7"  # 6 | 104 fails
-    # 3*5 = 15 fails divisibility before the three-factor count matters;
-    # a clean two-factor miss needs both p-1 dividing n-1, which cannot
-    # happen for distinct odd primes, so the reason is never reached for
-    # semiprimes. 4 = 2^2 is the even squarefree-fail case.
+    # 4 = 2^2 is the even squarefree-fail case.
     assert not korselt(4).validates
+
+
+def test_korselt_two_prime_factors_fail_divisibility():
+    # n = pq, p < q: q - 1 | n - 1 = p(q - 1) + p - 1 would need
+    # q - 1 | p - 1, so no separate count of prime factors is needed.
+    limit = 10**5
+    flags = sieve(limit // 3)
+    primes = [p for p in range(3, len(flags)) if flags[p]]
+    checked = 0
+    for i, p in enumerate(primes):
+        for q in primes[i + 1:]:
+            if p * q > limit:
+                break
+            assert korselt(p * q).failure_reason.startswith("divisibility fails at "), p * q
+            checked += 1
+    assert checked == 18181  # every odd pq <= 10^5 with p < q
 
 
 def test_korselt_rejects_tiny():

@@ -9,6 +9,7 @@ from primesig import (
     FrobeniusReport,
     factorization_step,
     frobenius_test,
+    jacobi_step,
     splits_completely,
 )
 from primesig.polymod import _pdivmod_monic
@@ -191,8 +192,7 @@ def test_splits_completely():
 
 
 def test_splits_completely_ramified_or_composite():
-    with pytest.raises(ValueError):
-        splits_completely(23, CUBIC)  # divides the discriminant
+    assert splits_completely(23, CUBIC) is False  # divides the discriminant
     with pytest.raises(ValueError):
         splits_completely(15, CUBIC)  # not prime
 
@@ -204,6 +204,19 @@ def test_splits_completely_matches_root_counting():
             continue
         roots = sum(1 for a in range(p) if (a**3 - a - 1) % p == 0)
         assert splits_completely(p, CUBIC) == (roots == 3), p
+
+
+def test_jacobi_stage_rejects():
+    # 2737 = 7*17*23 for x^2 - x - 1 and 341 = 11*31 for x^2 + 2: both
+    # quadratics stay irreducible (degrees (2, 0), S = 0) while the
+    # symbol of the discriminant is -1.
+    for n, coeffs in ((2737, (-1, -1, 1)), (341, (2, 0, 1))):
+        rep = frobenius_test(n, coeffs)
+        assert (rep.verdict, rep.stage, rep.degrees, rep.jacobi_s) == (
+            COMPOSITE, "jacobi", (2, 0), 0)
+        assert naive_frobenius(n, coeffs) == (COMPOSITE, rep.degrees)
+    # deg F_2 = 1 is not a multiple of 2.
+    assert jacobi_step((1, 1), 5, 2737).reason == "degree-not-divisible"
 
 
 def test_gcmd_composite_evidence_becomes_verdict():

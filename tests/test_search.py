@@ -19,13 +19,31 @@ from primesig.search import (
 from oracles import sieve
 
 
-def run(tmp_path, name, **kwargs):
+class Killed(Exception):
+    """A kill after a block's records were written, before its checkpoint."""
+
+
+def run(tmp_path, name, killed_after=None, **kwargs):
+    """A checkpointed scan: its files and its summary, or, when killed
+    while committing block killed_after + 1, its files and the last
+    checkpoint state."""
     out = tmp_path / f"{name}.jsonl"
     ckpt = tmp_path / f"{name}.ckpt"
-    summary = run_range_search(
-        out_path=str(out), checkpoint_path=str(ckpt), **kwargs
-    )
-    return out, ckpt, summary
+    if killed_after is None:
+        summary = run_range_search(out_path=str(out), checkpoint_path=str(ckpt), **kwargs)
+        return out, ckpt, summary
+    real = search._write_checkpoint
+
+    def write_checkpoint(path, state):
+        if state["blocks_done"] > killed_after:
+            raise Killed
+        real(path, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_write_checkpoint", write_checkpoint)
+        with pytest.raises(Killed):
+            run_range_search(out_path=str(out), checkpoint_path=str(ckpt), **kwargs)
+    return out, ckpt, json.loads(ckpt.read_text())
 
 
 def test_small_range_has_no_weak_pseudoprimes(tmp_path):
@@ -104,7 +122,7 @@ def test_kill_and_resume_reproduces_bytes(tmp_path):
     full, _, whole = run(
         tmp_path, "full", start=3, stop=8000, spec=spec, workers=2, block_size=500
     )
-    part, ckpt, summary = run(
+    part, ckpt, state = run(
         tmp_path,
         "part",
         start=3,
@@ -112,11 +130,11 @@ def test_kill_and_resume_reproduces_bytes(tmp_path):
         spec=spec,
         workers=2,
         block_size=500,
-        stop_after_blocks=7,
+        killed_after=7,
     )
-    assert not summary["completed"]
-    state = json.loads(ckpt.read_text())
     assert state["blocks_done"] == 7
+    # Block 8's records reached the file, but no checkpoint counts them.
+    assert part.stat().st_size > state["bytes_written"]
     resumed = run_range_search(
         3,
         8000,
@@ -135,7 +153,8 @@ def test_kill_and_resume_reproduces_bytes(tmp_path):
 
 def test_resume_truncates_trailing_garbage(tmp_path):
     # A kill mid-write can leave a partial line past the checkpointed
-    # offset; resume must cut it off.
+    # offset; resume must cut it off.  The kill comes in the last of the
+    # ten blocks, so no later write covers the stale bytes.
     spec = SearchSpec("frobenius", poly=(1, 0, 1))
     full, _, _ = run(
         tmp_path, "ref", start=3, stop=4000, spec=spec, block_size=400
@@ -147,7 +166,7 @@ def test_resume_truncates_trailing_garbage(tmp_path):
         stop=4000,
         spec=spec,
         block_size=400,
-        stop_after_blocks=4,
+        killed_after=9,
     )
     with open(part, "ab") as fh:
         fh.write(b'{"n":"99')
@@ -163,14 +182,25 @@ def test_resume_truncates_trailing_garbage(tmp_path):
     assert part.read_bytes() == full.read_bytes()
 
 
+def test_resuming_a_finished_scan_changes_nothing(tmp_path):
+    spec = SearchSpec("frobenius", poly=(1, 0, 1))
+    out, ckpt, first = run(tmp_path, "done", start=3, stop=3000, spec=spec, block_size=1000)
+    before = out.read_bytes(), ckpt.read_bytes()
+    again = run_range_search(3, 3000, spec, out_path=str(out), checkpoint_path=str(ckpt),
+                             resume=True, block_size=1000)
+    assert (out.read_bytes(), ckpt.read_bytes()) == before
+    assert again["completed"]
+    assert again["outcomes"] == first["outcomes"]
+
+
 def test_resume_refuses_short_file(tmp_path):
     # Truncating forward would pad the gap with NUL bytes.
     spec = SearchSpec("frobenius", poly=(1, 0, 1))
-    part, ckpt, _ = run(
+    part, ckpt, state = run(
         tmp_path, "short", start=3, stop=4000, spec=spec, block_size=400,
-        stop_after_blocks=4,
+        killed_after=4,
     )
-    assert json.loads(ckpt.read_text())["bytes_written"] > 0
+    assert state["bytes_written"] > 0
     part.write_bytes(b"")
     with pytest.raises(CheckpointMismatch):
         run_range_search(
@@ -219,7 +249,7 @@ def test_resume_refuses_different_parameters(tmp_path):
     spec = SearchSpec("perrin-weak")
     out, ckpt, _ = run(
         tmp_path, "h", start=3, stop=5000, spec=spec, block_size=1000,
-        stop_after_blocks=2,
+        killed_after=2,
     )
     for bad in [
         dict(start=3, stop=5000, spec=SearchSpec("perrin-full"), block_size=1000),
@@ -312,7 +342,7 @@ def block_outcomes(lo, hi, spec, monkeypatch):
 def test_sieve_is_exact_below_its_limit(lo, size, monkeypatch):
     hi = lo + size - 1
     first = max(lo | 1, 3)
-    marks, exact = search._sieve_block(first, hi)
+    marks, exact = search._mark_block(first, hi, ())
     flags = sieve(hi)
     assert exact
     assert list(marks) == [0 if flags[n] else 1 for n in range(first, hi + 1, 2)]
@@ -325,7 +355,7 @@ def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
     # 10007 is the least prime above the sieve's 10^4, so its square has
     # no sieve prime factor and only is_prime_baseline can reject it.
     lo, hi = 10007**2 - 40, 10007**2 + 40
-    marks, exact = search._sieve_block(lo | 1, hi)
+    marks, exact = search._mark_block(lo | 1, hi, ())
     assert not exact
     odd = range(lo | 1, hi + 1, 2)
     assert all(not is_prime_baseline(n) for n, m in zip(odd, marks) if m)
@@ -367,10 +397,10 @@ def test_prefiltered_scan_flags_what_the_plain_test_flags(tmp_path, test):
     assert outcomes["not-applicable"] == (multiples_of_23 if test == "perrin-full" else 0)
 
     # Counters after a kill and a resume equal the uninterrupted ones.
-    part, ckpt, partial = run(tmp_path, f"{test}-cut", start=lo, stop=hi,
-                              spec=SearchSpec(test), workers=2, block_size=4096,
-                              stop_after_blocks=3)
-    assert sum(partial["outcomes"].values()) == 3 * 2048
+    part, ckpt, state = run(tmp_path, f"{test}-cut", start=lo, stop=hi,
+                            spec=SearchSpec(test), workers=2, block_size=4096,
+                            killed_after=3)
+    assert sum(state["outcomes"].values()) == 3 * 2048
     resumed = run_range_search(lo, hi, SearchSpec(test), workers=2, out_path=str(part),
                                checkpoint_path=str(ckpt), resume=True, block_size=4096)
     assert (part.read_bytes(), resumed["outcomes"]) == runs[0]
@@ -389,9 +419,8 @@ def test_degenerate_cubic_passes_every_odd_composite(tmp_path):
 
 def test_resume_refuses_checkpoint_without_outcome_counts(tmp_path):
     spec = SearchSpec("perrin-weak")
-    out, ckpt, _ = run(tmp_path, "v1", start=3, stop=5000, spec=spec, block_size=1000,
-                       stop_after_blocks=2)
-    state = json.loads(ckpt.read_text())
+    out, ckpt, state = run(tmp_path, "v1", start=3, stop=5000, spec=spec, block_size=1000,
+                           killed_after=2)
     assert state["version"] == 2
     old = {k: v for k, v in state.items() if k != "outcomes"}
     counts = state["outcomes"]
@@ -415,7 +444,7 @@ def test_pool_has_no_idle_workers(tmp_path, monkeypatch):
     run(tmp_path, "one", start=3, stop=900, spec=spec, workers=8, block_size=1000)
     run(tmp_path, "three", start=3, stop=2900, spec=spec, workers=8, block_size=1000)
     out, ckpt, _ = run(tmp_path, "cut", start=3, stop=4900, spec=spec, workers=2,
-                       block_size=1000, stop_after_blocks=3)
+                       block_size=1000, killed_after=3)
     run_range_search(3, 4900, spec, workers=8, out_path=str(out),
                      checkpoint_path=str(ckpt), resume=True, block_size=1000)
     assert sizes == [3, 2, 2]
