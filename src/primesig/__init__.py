@@ -38,9 +38,7 @@ from .frobenius import (
 from .modarith import (
     BudgetExceededError,
     Factorization,
-    NotInvertibleError,
     factorize,
-    inv_mod,
     is_prime_baseline,
     jacobi,
 )

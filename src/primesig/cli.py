@@ -8,9 +8,10 @@ Three subcommands:
 
 verify prints a korselt record of its own; for the scan tests it prints
 the record search.record builds, the format that search writes.
-construct exits 0 when at least one certificate was emitted, 2 when the
-pipeline ran dry, and 1 on malformed input.  Params files are flat
-key=value lines; integer lists (poly) are comma-separated decimals.
+construct exits 0 when at least one certificate was emitted, 2 when a
+stage starved on valid parameters, and 1 on malformed input or invalid
+parameters.  Params files are flat key=value lines; integer lists (poly)
+are comma-separated decimals.
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ comfortably cheap.  The tables share one step budget and the pair scan
 has one of its own, so a cut table still leaves pairs to examine.  Every
 emitted certificate is re-verified from scratch before it leaves the
 pipeline.
+
+ConstructionParams raises one ValueError naming every bad value when it
+is built, so a stage diagnostic from construct means valid input starved.
 """
 
 from __future__ import annotations
@@ -67,8 +70,12 @@ class ConstructionParams:
     poly: tuple[int, ...] = (-1, 1)
     budget: int = 1_000_000
 
-    def problems(self) -> list[str]:
+    def __post_init__(self) -> None:
         issues = []
+        try:
+            _require_squarefree(self.poly, 1)
+        except ValueError as exc:
+            issues.append(str(exc))
         if self.y < 2:
             issues.append(f"smoothness bound y = {self.y} below 2 harvests at most "
                           "q = 2, and no pool can reach three primes")
@@ -76,18 +83,16 @@ class ConstructionParams:
             issues.append(f"harvest interval {self.q_range} is empty")
         if self.t_max < 3:
             issues.append(f"t_max = {self.t_max} admits no subsets (minimum size is 3)")
+        if self.k_min < 1:
+            issues.append("k_min must be >= 1")
         if self.k_min > self.k_max:
             issues.append(f"multiplier range [{self.k_min}, {self.k_max}] is empty")
-        return issues
-
-    def validate(self) -> None:
-        _require_squarefree(self.poly, 1)
-        if self.k_min < 1:
-            raise ValueError("k_min must be >= 1")
         if self.x_bound < 3:
-            raise ValueError("x_bound must be >= 3")
+            issues.append("x_bound must be >= 3")
         if self.budget < 1:
-            raise ValueError("budget must be positive")
+            issues.append("budget must be positive")
+        if issues:
+            raise ValueError("; ".join(issues))
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,6 @@ class ConstructionResult:
     modulus: int | None = None
     k: int | None = None
     pool: tuple[int, ...] = ()
-    complete: bool = True
 
 
 def harvest_smooth_primes(q_range: tuple[int, int], y: int) -> list[int]:
@@ -265,11 +269,9 @@ def subset_product_search(primes, L: int, t_max: int,
 
 def construct(params: ConstructionParams) -> ConstructionResult:
     """Run the whole pipeline; every certificate is re-verified before
-    being emitted.  Degenerate parameters produce an empty certificate
-    list with a diagnostic naming the stage that went dry."""
-    params.validate()
+    being emitted.  When a stage runs dry on valid parameters the
+    certificate list is empty and a diagnostic names that stage."""
     result = ConstructionResult()
-    result.diagnostics.extend(params.problems())
     harvested = harvest_smooth_primes(params.q_range, params.y)
     result.harvested = tuple(harvested)
     if not harvested:
@@ -287,7 +289,6 @@ def construct(params: ConstructionParams) -> ConstructionResult:
     result.k = k
     result.pool = tuple(pool)
     search = subset_product_search(pool, L, params.t_max, params.budget)
-    result.complete = search.complete
     if not search.complete:
         result.diagnostics.append("subset stage: step budget exhausted")
     if not search.subsets:
@@ -309,13 +310,9 @@ def construct(params: ConstructionParams) -> ConstructionResult:
 
 
 # Named parameter sets for the command line.  classic-Q is calibrated to
-# produce certificates in well under a minute on one core; empty-range
-# demonstrates the harvest-stage diagnostic path.
+# produce certificates in well under a minute on one core.
 PRESETS: dict[str, ConstructionParams] = {
     "classic-Q": ConstructionParams(
         y=3, q_range=(3, 8), k_min=1, k_max=100, x_bound=3000, t_max=5,
         poly=(-1, 1), budget=100_000),
-    "empty-range": ConstructionParams(
-        y=3, q_range=(3, 3), k_min=1, k_max=10, x_bound=1000, t_max=4,
-        poly=(-1, 1), budget=1000),
 }

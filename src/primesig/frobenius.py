@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .modarith import is_prime_baseline, jacobi
 from .polymod import (_compose_mod, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce,
-                      _require_monic, _require_squarefree, _trim, _xpow, discriminant)
+                      _require_monic, _require_squarefree, _trim, _xpow)
 
 __all__ = [
     "PROBABLE_PRIME",
@@ -189,20 +189,15 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
 def splits_completely(p: int, coeffs) -> bool:
     """True iff f factors into distinct linear pieces mod the prime p.
 
-    Requires p certified prime by the baseline oracle.  A ramified p,
-    dividing the discriminant, gives a repeated root mod p, so the
-    answer is False.  Degree-1 polynomials split at every prime.
+    Requires p certified prime by the baseline oracle.  x^p - x is the
+    squarefree product of all x - a over F_p, so gcd(x^p - x, f mod p)
+    has degree deg f exactly when f does: a ramified p (a repeated root)
+    gives False and degree 1 gives True, with no special case.
     """
     if not is_prime_baseline(p):
         raise ValueError(f"{p} is not prime")
-    cs = _require_monic(coeffs, 1)
-    d = len(cs) - 1
-    if d == 1:
-        return True
-    if discriminant(cs) % p == 0:
-        return False
-    f = _reduce(cs, p)
+    f = _reduce(_require_monic(coeffs, 1), p)
     out = _gcmd_minus_x(_xpow(p, f, p), f, p)
     if out[0] != "found":
         raise RuntimeError(f"gcmd failed over the prime modulus {p}")
-    return len(out[1]) - 1 == d
+    return len(out[1]) == len(f)

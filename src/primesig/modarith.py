@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: Jacobi symbols, modular inverses, primality,
-and deterministic small-scale factorization.
+"""Exact integer arithmetic: Jacobi symbols, primality, and deterministic
+small-scale factorization.
 
 factorize runs trial division to 10**4, then Miller's n - 1 split (a few
 modular powers, which break up Carmichael numbers), then Brent rho on what
@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "NotInvertibleError",
     "BudgetExceededError",
     "Factorization",
     "jacobi",
-    "inv_mod",
     "is_prime_baseline",
     "factorize",
 ]
@@ -37,20 +35,6 @@ def _small_primes() -> list[int]:
                 sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
         _small_primes_cache = [i for i in range(limit + 1) if sieve[i]]
     return _small_primes_cache
-
-
-class NotInvertibleError(ValueError):
-    """a has no inverse mod n; .gcd carries gcd(a, n) > 1.
-
-    When 1 < gcd < n the failed inversion has revealed a nontrivial
-    factor of the modulus, which callers may want to keep.
-    """
-
-    def __init__(self, a: int, n: int, g: int):
-        super().__init__(f"{a} is not invertible mod {n} (gcd = {g})")
-        self.a = a
-        self.n = n
-        self.gcd = g
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,19 +67,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def inv_mod(a: int, n: int) -> int:
-    """Inverse of a mod n >= 2.
-
-    Raises NotInvertibleError carrying gcd(a, n) when no inverse exists.
-    """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    try:
-        return pow(a, -1, n)
-    except ValueError:
-        raise NotInvertibleError(a % n, n, math.gcd(a, n)) from None
 
 
 # Witness sets for the strong-probable-prime rounds.  The four-prime set is

@@ -29,7 +29,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .modarith import inv_mod, jacobi, NotInvertibleError
+from .modarith import jacobi
 from .polymod import _discriminant, _gcmd_minus_x, _ppow_monic, _xpow
 
 __all__ = [
@@ -220,12 +220,9 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
     root = _recover_root(params, n)
     if root is None:
         return NOT_ACCEPTABLE
-    try:
-        a_inv = inv_mod(root, n)
-    except NotInvertibleError as exc:
-        log.debug("root %d not invertible mod %d (gcd %d)", root, n, exc.gcd)
-        return NOT_ACCEPTABLE
     a_sq = root * root % n
+    # f(root) = 0 and f(0) = -1 give root * (root^2 - r*root + s) = 1.
+    a_inv = (a_sq - params.r * root + params.s) % n
     val_a = (a_inv * a_inv + 2 * root) % n
     val_b = (-params.r * a_sq + (params.r * params.r - params.s) * root) % n
     val_c = (a_sq + 2 * a_inv) % n

@@ -76,6 +76,8 @@ def test_verify_domain_error_exits_one(capsys):
 
 def test_verify_bad_rs_exits_one(capsys):
     assert main(["verify", "7", "--test", "perrin-weak", "--rs", "zero,cat"]) == 1
+    assert main(["verify", "7", "--test", "perrin-weak", "--rs", "1,2,3"]) == 1
+    assert "--rs wants two integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -197,9 +199,13 @@ def test_construct_preset_exit_codes(tmp_path, capsys):
     assert [r["n"] for r in records] == ["10267951", "23729234761"]
     capsys.readouterr()
 
-    assert main(["construct", "--preset", "empty-range",
+    # Valid parameters on which the harvest runs dry: no prime q in
+    # (5, 16] has a 2-smooth q - 1.
+    cfg = tmp_path / "dry.cfg"
+    cfg.write_text("y=2\nq_min=5\nq_max=16\nk_min=1\nk_max=10\nx_bound=1000\nt_max=4\n")
+    assert main(["construct", "--params", str(cfg),
                  "--out", str(tmp_path / "none.jsonl")]) == 2
-    assert "harvest" in capsys.readouterr().err
+    assert "harvest stage" in capsys.readouterr().err
 
 
 def test_construct_unknown_preset(capsys):
@@ -223,14 +229,17 @@ def test_construct_params_file(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_construct_params_file_t_max_two_exits_two(tmp_path):
+def test_construct_params_file_t_max_two_exits_one(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
         "y=3\nq_min=3\nq_max=8\nk_min=1\nk_max=100\n"
         "x_bound=3000\nt_max=2\npoly=-1,1\nbudget=100000\n"
     )
     assert main(["construct", "--params", str(cfg),
-                 "--out", str(cfg.with_suffix(".jsonl"))]) == 2
+                 "--out", str(cfg.with_suffix(".jsonl"))]) == 1
+    err = capsys.readouterr().err
+    assert "t_max = 2 admits no subsets" in err
+    assert "harvested" not in err
 
 
 def test_construct_malformed_params_exit_one(tmp_path, capsys):
@@ -245,6 +254,10 @@ def test_construct_malformed_params_exit_one(tmp_path, capsys):
                     "x_bound=300\nt_max=5\npoly=-1,1\n")
     assert main(["construct", "--params", str(bad3)]) == 1
     assert main(["construct", "--params", str(tmp_path / "absent.cfg")]) == 1
+    bad4 = tmp_path / "bad4.cfg"
+    bad4.write_text("y=3\nq_min 3\n")
+    assert main(["construct", "--params", str(bad4)]) == 1
+    assert "bad4.cfg:2: expected key=value" in capsys.readouterr().err
 
 
 def test_construct_non_squarefree_poly_exits_one(tmp_path, capsys):

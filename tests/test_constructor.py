@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -182,6 +183,7 @@ def test_subset_search_budget_truncates():
 def test_construct_classic_preset():
     result = construct(PRESETS["classic-Q"])
     assert result.k == 66 and result.modulus == 35
+    assert result.diagnostics == []
     assert [c.n for c in result.certificates] == [10267951, 23729234761]
     small, large = result.certificates
     assert small.subset == (67, 331, 463)
@@ -193,6 +195,11 @@ def test_construct_classic_preset():
         assert korselt(cert.n).validates
         for p in cert.subset:
             assert splits_completely(p, cert.poly)
+    # One table entry and one pair: the budget runs out before any match.
+    starved = construct(replace(PRESETS["classic-Q"], budget=1))
+    assert starved.certificates == [] and starved.pool == result.pool
+    assert starved.diagnostics == ["subset stage: step budget exhausted",
+                                   "subset stage: no subset product is 1 mod L"]
 
 
 def test_cubic_splitting_carmichael_numbers_are_perrin_and_frobenius_pseudoprimes():
@@ -245,49 +252,59 @@ def test_construct_rejects_a_product_that_fails_reverification(monkeypatch, poly
 
 
 def test_construct_empty_harvest():
-    result = construct(PRESETS["empty-range"])
-    assert result.certificates == []
-    assert any("harvest" in note for note in result.diagnostics)
+    # Valid, yet no prime q in (5, 16] has a 2-smooth q - 1.
+    result = construct(ConstructionParams(
+        y=2, q_range=(5, 16), k_min=1, k_max=10, x_bound=1000, t_max=4))
+    assert result.certificates == [] and result.harvested == ()
+    assert result.diagnostics == ["harvest stage: no primes with a smooth q - 1"]
+    # L = 2 * 3: an odd k coprime to 6 makes d*k + 1 even for odd d, so
+    # each pool holds at most the two primes 2k + 1 and 6k + 1.
+    result = construct(ConstructionParams(
+        y=2, q_range=(1, 3), k_min=1, k_max=50, x_bound=3000, t_max=5))
+    assert result.harvested == (2, 3) and result.modulus == 6
+    assert not result.certificates and result.pool == ()
+    assert result.diagnostics == ["multiplier stage: no k produced three usable split primes"]
 
 
 def test_construct_degenerate_t_max():
-    params = ConstructionParams(
-        y=3, q_range=(3, 8), k_min=1, k_max=100, x_bound=3000, t_max=2, poly=(-1, 1)
-    )
-    result = construct(params)
-    assert result.certificates == []
-    assert any("t_max" in note for note in result.diagnostics)
+    with pytest.raises(ValueError, match=r"^t_max = 2 admits no subsets \(minimum size is 3\)$"):
+        ConstructionParams(
+            y=3, q_range=(3, 8), k_min=1, k_max=100, x_bound=3000, t_max=2, poly=(-1, 1))
 
 
 def test_params_validation():
-    good = PRESETS["classic-Q"]
-    good.validate()
-    with pytest.raises(ValueError):
-        ConstructionParams(
-            y=3, q_range=(3, 8), k_min=1, k_max=4, x_bound=300, t_max=5, poly=(1, 2)
-        ).validate()
-    with pytest.raises(ValueError):
-        ConstructionParams(
-            y=3, q_range=(3, 8), k_min=0, k_max=4, x_bound=300, t_max=5, poly=(-1, 1)
-        ).validate()
-    with pytest.raises(ValueError):
-        ConstructionParams(
-            y=3, q_range=(3, 8), k_min=1, k_max=4, x_bound=300, t_max=5, poly=(1, 2, 1)
-        ).validate()
+    # Each bad value alone raises a ValueError naming only it.
+    for change, message in [
+        ({"poly": (1, 2)}, "polynomial must be monic of degree >= 1"),
+        ({"poly": (1, 2, 1)}, "polynomial (1, 2, 1) is not squarefree"),
+        ({"y": 1}, "smoothness bound y = 1 below 2"),
+        ({"q_range": (8, 8)}, "harvest interval (8, 8) is empty"),
+        ({"t_max": 2}, "t_max = 2 admits no subsets"),
+        ({"k_min": 0}, "k_min must be >= 1"),
+        ({"k_min": 101}, "multiplier range [101, 100] is empty"),
+        ({"x_bound": 2}, "x_bound must be >= 3"),
+        ({"budget": 0}, "budget must be positive"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            replace(PRESETS["classic-Q"], **change)
+        assert str(info.value).startswith(message), change
+        assert ";" not in str(info.value), change
 
 
 def test_params_problem_diagnostics():
-    params = ConstructionParams(
-        y=1, q_range=(9, 8), k_min=5, k_max=4, x_bound=300, t_max=2, poly=(-1, 1)
-    )
-    notes = params.problems()
-    assert len(notes) >= 3
-    # q - 1 = 1 is vacuously smooth, so y = 1 still harvests 2; with L = 2
-    # every pool d*k + 1 (d = 1, 2) holds at most two primes.
-    result = construct(ConstructionParams(
-        y=1, q_range=(1, 7), k_min=1, k_max=50, x_bound=3000, t_max=5))
-    assert result.harvested == (2,) and result.modulus == 2
-    assert not result.certificates and result.pool == ()
-    assert result.diagnostics[0] == ("smoothness bound y = 1 below 2 harvests at most "
-                                     "q = 2, and no pool can reach three primes")
-    assert "multiplier stage: no k produced three usable split primes" in result.diagnostics
+    # One ValueError names every bad value, before any harvest.
+    with pytest.raises(ValueError) as info:
+        ConstructionParams(
+            y=1, q_range=(9, 8), k_min=0, k_max=-1, x_bound=2, t_max=2, poly=(1, 2, 1),
+            budget=0)
+    assert str(info.value).split("; ") == [
+        "polynomial (1, 2, 1) is not squarefree",
+        "smoothness bound y = 1 below 2 harvests at most q = 2, "
+        "and no pool can reach three primes",
+        "harvest interval (9, 8) is empty",
+        "t_max = 2 admits no subsets (minimum size is 3)",
+        "k_min must be >= 1",
+        "multiplier range [0, -1] is empty",
+        "x_bound must be >= 3",
+        "budget must be positive",
+    ]

@@ -7,10 +7,8 @@ import primesig.modarith
 from primesig import (
     BudgetExceededError,
     Factorization,
-    NotInvertibleError,
     factorize,
     find_k_and_primes,
-    inv_mod,
     is_prime_baseline,
     jacobi,
     subset_product_search,
@@ -71,22 +69,6 @@ def test_jacobi_zero_exactly_on_shared_factor():
     for n in range(3, 500, 2):
         for a in range(n):
             assert (jacobi(a, n) == 0) == (math.gcd(a, n) > 1)
-
-
-def test_inv_mod_exhaustive_small_moduli():
-    for n in range(2, 501):
-        for a in range(n):
-            if math.gcd(a, n) == 1:
-                assert inv_mod(a, n) * a % n == 1
-            else:
-                with pytest.raises(NotInvertibleError) as info:
-                    inv_mod(a, n)
-                assert info.value.gcd == math.gcd(a, n)
-                assert info.value.gcd > 1
-
-
-def test_inv_mod_negative_argument():
-    assert inv_mod(-3, 7) * -3 % 7 == 1
 
 
 def test_is_prime_baseline_agrees_with_sieve_to_a_million():

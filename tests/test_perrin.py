@@ -15,7 +15,7 @@ from primesig import (
     sequence_term,
     signature,
 )
-from primesig.perrin import residue_tables
+from primesig.perrin import _recover_root, residue_tables
 
 from oracles import (recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping,
                      weak_perrin_by_stepping_many)
@@ -131,7 +131,7 @@ def test_signature_negative_half_matches_reversed_cubic():
             assert values[3:] == tuple(sequence_term(params, k, m) for k in (n - 1, n, n + 1))
 
 
-def test_classify_worked_examples():
+def test_classify_worked_examples(caplog):
     q = classify_signature(PERRIN, 7, signature(PERRIN, 7, 7))
     assert q.kind == "Q" and q.a == 5
     assert str(q) == "Q[a=5]"
@@ -150,6 +150,18 @@ def test_classify_worked_examples():
     bad = classify_signature(PERRIN, 25, signature(PERRIN, 25, 25))
     assert bad is NOT_ACCEPTABLE
     assert str(bad) == "not-acceptable"
+
+    # (r, s) = (-6, -6) has delta = 3645, and gcd(35, delta) = 5: the
+    # signature mod 35 meets the cheap Q conditions, then the gcmd that
+    # should recover the root fails on a leading coefficient sharing 5.
+    params = RecurrenceParams(-6, -6)
+    assert math.gcd(35, params.delta) == 5
+    sig = signature(params, 35, 35)
+    assert sig.values[1] == -6 % 35 and sig.values[4] == -6 % 35
+    with caplog.at_level("DEBUG", logger="primesig.perrin"):
+        assert _recover_root(params, 35) is None
+    assert "root recovery mod 35 exposed factor" in caplog.text
+    assert classify_signature(params, 35, sig) is NOT_ACCEPTABLE
 
 
 def test_classify_index_one_is_s_for_every_modulus():
@@ -254,17 +266,19 @@ def test_perrin_full_composite_fails():
 
 
 def test_perrin_full_primes_pass():
+    # r != 0 as well, so the Q branch's root inverse depends on r.
     flags = sieve(3000)
-    for p in range(3, 3001, 2):
-        if not flags[p] or p == 23:
-            continue
-        res = perrin_test(PERRIN, p, mode="full")
-        assert res.passes, p
-        j = res.jacobi_symbol
-        if j == -1:
-            assert res.signature_class.kind == "Q"
-        else:
-            assert res.signature_class.kind in ("S", "I")
+    for params in (PERRIN, RecurrenceParams(1, -1), RecurrenceParams(-2, 3)):
+        for p in range(3, 3001, 2):
+            if not flags[p] or params.delta % p == 0:
+                continue
+            res = perrin_test(params, p, mode="full")
+            assert res.passes, (params, p)
+            j = res.jacobi_symbol
+            if j == -1:
+                assert res.signature_class.kind == "Q", (params, p)
+            else:
+                assert res.signature_class.kind in ("S", "I"), (params, p)
 
 
 def test_full_pass_implies_weak_pass():

@@ -54,6 +54,9 @@ def test_small_range_has_no_weak_pseudoprimes(tmp_path):
     assert summary["scanned"] == 499
     assert summary["completed"]
     assert out.read_bytes() == b""
+    # A start below 3 scans as if it were 3.
+    _, _, low = run(tmp_path, "w0", start=-5, stop=1000, spec=SearchSpec("perrin-weak"))
+    assert low["scanned"] == 499 and low["outcomes"] == summary["outcomes"]
 
 
 def test_single_number_range(tmp_path):
@@ -65,6 +68,10 @@ def test_single_number_range(tmp_path):
 def test_empty_range_rejected(tmp_path):
     with pytest.raises(ValueError):
         run(tmp_path, "bad", start=100, stop=50, spec=SearchSpec("perrin-weak"))
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run(tmp_path, "bad", start=3, stop=50, spec=SearchSpec("perrin-weak"), workers=0)
+    with pytest.raises(ValueError, match="block size must be >= 2"):
+        run(tmp_path, "bad", start=3, stop=50, spec=SearchSpec("perrin-weak"), block_size=1)
 
 
 def test_spec_rejects_unknown_test():
