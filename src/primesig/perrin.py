@@ -17,9 +17,11 @@ since the roots multiply to 1, A(-k) = (A(k)^2 - A(2k))/2.  An odd n
 whose signature mod n looks prime-like is sorted into one of three
 shapes (S, I, Q) matching the three splitting types of the cubic.
 
-For the range scans, residue_tables gives A(k) mod p over one period
-for each odd prime p <= 59: a cheap necessary condition that rejects
-most composites before either test runs.
+For the range scans' prefilter, a cheap necessary condition that
+rejects most composites before either test runs: residue_tables gives
+A(k) mod p over one period for each odd prime p <= 59, and residue_walk
+gives A(m), A(m + 2), ... mod any larger prime p, the residues of the
+odd multiples p*m, since A(p*m) = A(m) mod p.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "perrin_test",
     "PerrinResult",
     "residue_tables",
+    "residue_walk",
 ]
 
 log = logging.getLogger(__name__)
@@ -179,6 +182,27 @@ def residue_tables(params: RecurrenceParams) -> tuple[tuple[int, bytes], ...]:
                 break
         out.append((p, bytes(table)))
     return tuple(out)
+
+
+def residue_walk(params: RecurrenceParams, p: int, m: int, count: int) -> list[int]:
+    """A(m), A(m + 2), ..., A(m + 2*(count - 1)) mod p, for m >= 0.
+
+    The scans walk the primes p above 59 with it: A(p*m) = A(m) mod p,
+    because b -> b^p is a ring endomorphism of F_p[x]/(f) and
+    tr(b^p) = tr(b)^p = tr(b); so an odd multiple n = p*m (m >= 3) with
+    A(m) != r mod p cannot pass either test.  The start window
+    (A(m), A(m + 2), A(m + 4)) comes from x^m; each further term is one
+    step of the recurrence of the squared roots, whose (r, s) is
+    (A(2), A(-2)) = (r^2 - 2s, s^2 - 2r).
+    """
+    a, _, b, _, c = _terms(params, _xpow(m, params.poly, p), p, 5)
+    r2 = (params.r * params.r - 2 * params.s) % p
+    s2 = (params.s * params.s - 2 * params.r) % p
+    out = []
+    for _ in range(count):
+        out.append(a)
+        a, b, c = b, c, (r2 * c - s2 * b + a) % p
+    return out
 
 
 def _recover_root(params: RecurrenceParams, n: int) -> int | None:

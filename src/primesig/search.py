@@ -17,11 +17,14 @@ Each block gets one marking pass, then the test.  The pass marks 1 the
 block's composites with an odd prime factor up to min(isqrt(hi), 10^4);
 when isqrt(hi) is within that bound the sieve is exact, and above it
 only the unmarked n are put to is_prime_baseline.  It then marks 2 each
-odd multiple n != p of a prime p of SearchSpec.tables whose A(n) mod p,
-read from the period table of A mod p (perrin.residue_tables), differs
-from r mod p: such an n cannot have A(n) = r mod n.  Only the two Perrin
-tests have tables; Frobenius scans get the sieve alone.  Only the
-composites that remain, and to which the test applies, run it.
+odd multiple n = p*m (m >= 3) of a prime p with A(n) != r mod p: such
+an n cannot have A(n) = r mod n.  For p <= 59, A(n) mod p is read from
+the period table of A mod p (perrin.residue_tables); for the sieve
+primes above 59 it is A(m) mod p, since A(p*m) = A(m) mod p, walked over
+the block's m by perrin.residue_walk.  Only the two Perrin tests have
+this prefilter (SearchSpec.prefilter); Frobenius scans get the sieve
+alone.  Only the composites that remain, and to which the test applies,
+run it.
 
 The range is cut into fixed-size blocks (default 2**16).  Workers scan
 blocks in parallel but the parent writes results strictly in block
@@ -38,6 +41,7 @@ the end of its range or when it is killed.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, is_prime_baseline, jacobi
 from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
-                     residue_tables, signature)
+                     residue_tables, residue_walk, signature)
 from .polymod import _require_squarefree
 
 __all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
@@ -114,10 +118,10 @@ class SearchSpec:
         return perrin_test(self.params, n, mode=self.test[len("perrin-"):])
 
     @property
-    def tables(self) -> tuple[tuple[int, bytes], ...]:
-        """The prefilter's (p, table) pairs: perrin.residue_tables for the
-        Perrin tests, none for frobenius."""
-        return () if self.test == "frobenius" else residue_tables(self.params)
+    def prefilter(self) -> RecurrenceParams | None:
+        """The recurrence whose residues the prefilter reads: params for
+        the Perrin tests, None (no prefilter) for frobenius."""
+        return None if self.test == "frobenius" else self.params
 
     def canonical(self) -> str:
         if self.test == "frobenius":
@@ -172,37 +176,51 @@ def _odd_multiple_index(p: int, bound: int, first: int) -> int:
     return ((-(-bound // p) | 1) * p - first) >> 1
 
 
-def _mark_block(first: int, hi: int, tables) -> tuple[bytearray, bool]:
+def _mark_block(first: int, hi: int,
+                params: RecurrenceParams | None) -> tuple[bytearray, bool]:
     """Marks for the odd n = first + 2*i <= hi (first odd, >= 3).
 
     marks[i] is 1 when n has an odd prime factor p < n with
     p <= min(isqrt(hi), 10^4); the flag says whether that bound reached
-    isqrt(hi), so that every unmarked n is prime.  Then marks[i] is 2
-    when n != p is an odd multiple of a prime p of tables, the (p, table)
-    pairs of SearchSpec.tables, whose table rejects n."""
+    isqrt(hi), so that every unmarked n is prime.  Then, unless params
+    is None, marks[i] is 2 when n = p*m (m >= 3 odd) for a prime p with
+    A(n) != r mod p: read from the period tables of perrin.residue_tables
+    for p <= 59, and for the sieve primes above 59 from A(m) mod p,
+    walked by perrin.residue_walk over the m of the block."""
     size = len(range(first, hi + 1, 2))
     marks = bytearray(size)
     ones = memoryview(b"\x01" * size)
     root = math.isqrt(hi)
-    for p in _small_primes()[1:]:
-        if p > root:
-            break
+    primes = _small_primes()[1:bisect.bisect_right(_small_primes(), root)]
+    for p in primes:
         i = _odd_multiple_index(p, max(p * p, first), first)
         if i < size:
             marks[i::p] = ones[:len(range(i, size, p))]
+    if params is None:
+        return marks, root <= _TRIAL_LIMIT
+    tables = residue_tables(params)
     for p, table in tables:
         period = len(table)
         for n in range(first + 2 * _odd_multiple_index(p, max(3 * p, first), first),
                        hi + 1, 2 * p):
             if not table[n % period]:
                 marks[(n - first) >> 1] = 2
+    # The tables hold the least odd primes; the walk takes the rest.
+    for p in primes[len(tables):]:
+        i = _odd_multiple_index(p, max(3 * p, first), first)
+        if i < size:
+            r = params.r % p
+            for a in residue_walk(params, p, (first + 2 * i) // p, len(range(i, size, p))):
+                if a != r:
+                    marks[i] = 2
+                i += p
     return marks, root <= _TRIAL_LIMIT
 
 
 def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
     index, lo, hi, spec = args
     first = max(lo | 1, 3)
-    marks, exact = _mark_block(first, hi, spec.tables)
+    marks, exact = _mark_block(first, hi, spec.prefilter)
     counts = dict.fromkeys(OUTCOMES, 0)
     lines = []
     for i, n in enumerate(range(first, hi + 1, 2)):
@@ -225,7 +243,7 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
 
 
 def _params_hash(start: int, stop: int, spec: SearchSpec, block_size: int) -> str:
-    text = f"v1;from={start};to={stop};block={block_size};{spec.canonical()}"
+    text = f"v2;from={start};to={stop};block={block_size};{spec.canonical()}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 

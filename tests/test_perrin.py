@@ -15,7 +15,7 @@ from primesig import (
     sequence_term,
     signature,
 )
-from primesig.perrin import _recover_root, residue_tables
+from primesig.perrin import _recover_root, residue_tables, residue_walk
 
 from oracles import (recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping,
                      weak_perrin_by_stepping_many)
@@ -331,3 +331,25 @@ def test_residue_tables_match_sequence_terms(rs):
     if rs == (3, 3):
         # (x - 1)^3: A(k) = 3 for every k, so nothing is ever rejected.
         assert all(table == b"\x01" for _, table in tables)
+
+
+@pytest.mark.parametrize("rs", [(0, -1), (1, -1), (-2, 3), (3, 3), (-2, 2)])
+def test_residue_walk_and_frobenius_identity_match_stepping(rs):
+    # A(p*m) = A(m) mod p for every prime p, ramified or not: (-2, 2) has
+    # delta = -83, above the table primes.  The walk reads A(m + 2i) mod p,
+    # the right-hand side of that identity.
+    params = RecurrenceParams(*rs)
+    if rs == (-2, 2):
+        assert params.delta == -83
+    flags = sieve(700)
+    for p in range(61, 700):
+        if not flags[p]:
+            continue
+        window = recurrence_window(*rs, 0, 39 * p, p)
+        for m in range(40):
+            assert window[p * m] == window[m], (p, m)
+        for start in (0, 1, 2, 7):
+            assert residue_walk(params, p, start, 16) == [window[start + 2 * i]
+                                                          for i in range(16)], (p, start)
+    assert residue_walk(params, 61, 10**9, 3) == [sequence_term(params, 10**9 + 2 * i, 61)
+                                                  for i in range(3)]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ from primesig import search
 from primesig.cli import verify_number
 from primesig.constructor import find_k_and_primes, subset_product_search
 from primesig.modarith import is_prime_baseline
-from primesig.perrin import RecurrenceParams, perrin_test
+from primesig.perrin import RecurrenceParams, perrin_test, sequence_term
 from primesig.search import (
     OUTCOMES,
     CheckpointMismatch,
@@ -16,7 +17,7 @@ from primesig.search import (
     run_range_search,
 )
 
-from oracles import sieve
+from oracles import sieve, weak_perrin_by_stepping_many
 
 
 class Killed(Exception):
@@ -349,7 +350,7 @@ def block_outcomes(lo, hi, spec, monkeypatch):
 def test_sieve_is_exact_below_its_limit(lo, size, monkeypatch):
     hi = lo + size - 1
     first = max(lo | 1, 3)
-    marks, exact = search._mark_block(first, hi, ())
+    marks, exact = search._mark_block(first, hi, None)
     flags = sieve(hi)
     assert exact
     assert list(marks) == [0 if flags[n] else 1 for n in range(first, hi + 1, 2)]
@@ -362,7 +363,7 @@ def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
     # 10007 is the least prime above the sieve's 10^4, so its square has
     # no sieve prime factor and only is_prime_baseline can reject it.
     lo, hi = 10007**2 - 40, 10007**2 + 40
-    marks, exact = search._mark_block(lo | 1, hi, ())
+    marks, exact = search._mark_block(lo | 1, hi, None)
     assert not exact
     odd = range(lo | 1, hi + 1, 2)
     assert all(not is_prime_baseline(n) for n, m in zip(odd, marks) if m)
@@ -370,6 +371,35 @@ def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
     assert asked == [n for n, m in zip(odd, marks) if not m]
     assert 10007**2 in asked
     assert counts["prime"] == sum(map(is_prime_baseline, odd))
+
+
+@pytest.mark.parametrize("rs", [(0, -1), (-2, 2)])
+@pytest.mark.parametrize("lo", [262_145, 10007**2 - 8192])
+def test_prefilter_is_sound_and_misses_no_sieve_prime(rs, lo, monkeypatch):
+    # The second window lies above 10^8, where the sieve stops at 10^4 and
+    # is no longer exact.
+    hi = lo + 16383
+    params = RecurrenceParams(*rs)
+    marks, _ = search._mark_block(lo, hi, params)
+    odd = range(lo, hi + 1, 2)
+    # Sound: every n marked 2 fails the plain weak test.
+    rejected = [n for n, mark in zip(odd, marks) if mark == 2]
+    if rs == (0, -1) and lo == 262_145:
+        assert not any(weak_perrin_by_stepping_many(rejected).values())
+    else:
+        assert not any(perrin_test(params, n, "weak").passes for n in rejected)
+    # Complete: no n the test rejects has a sieve prime factor p != n with
+    # A(n/p) != r mod p, which the identity A(p*m) = A(m) mod p rejects.
+    tested = [n for n, mark in zip(odd, marks) if mark != 2 and not is_prime_baseline(n)]
+    failed = [n for n in tested if not perrin_test(params, n, "weak").passes]
+    counts, _ = block_outcomes(lo, hi, SearchSpec("perrin-weak", *rs), monkeypatch)
+    assert counts["rejected:test"] == len(failed) > 0
+    flags = sieve(min(math.isqrt(hi), 10**4))
+    primes = [p for p in range(3, len(flags), 2) if flags[p]]
+    for n in failed:
+        for p in primes:
+            if n % p == 0 and n != p:
+                assert sequence_term(params, n // p, p) == params.r % p, (n, p)
 
 
 def per_n_flags(test, lo, hi):
@@ -436,6 +466,22 @@ def test_resume_refuses_checkpoint_without_outcome_counts(tmp_path):
     with pytest.raises(CheckpointMismatch):
         run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
                          resume=True, block_size=1000)
+
+
+def test_resume_refuses_checkpoint_of_the_table_only_prefilter(tmp_path):
+    # A "v1" hash was written while only the period tables prefiltered, so
+    # its rejected:prefilter and rejected:test counts split differently.
+    spec = SearchSpec("perrin-weak")
+    out, ckpt, state = run(tmp_path, "v1hash", start=3, stop=5000, spec=spec,
+                           block_size=1000, killed_after=2)
+    text = f"v1;from=3;to=5000;block=1000;{spec.canonical()}"
+    ckpt.write_text(json.dumps(state | {"hash": hashlib.sha256(text.encode()).hexdigest()}))
+    with pytest.raises(CheckpointMismatch):
+        run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
+                         resume=True, block_size=1000)
+    ckpt.write_text(json.dumps(state))
+    assert run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
+                            resume=True, block_size=1000)["completed"]
 
 
 def test_pool_has_no_idle_workers(tmp_path, monkeypatch):
