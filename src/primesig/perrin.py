@@ -21,7 +21,8 @@ For the range scans' prefilter, a cheap necessary condition that
 rejects most composites before either test runs: residue_tables gives
 A(k) mod p over one period for each odd prime p <= 59, and residue_walk
 gives A(m), A(m + 2), ... mod any larger prime p, the residues of the
-odd multiples p*m, since A(p*m) = A(m) mod p.
+odd multiples p*m, since A(p*m) = A(m) mod p; exact_terms gives
+A(0), A(1), ... as integers, read mod the one large prime factor of n.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ __all__ = [
     "PerrinResult",
     "residue_tables",
     "residue_walk",
+    "exact_terms",
+    "EXACT_TERM_BITS",
 ]
 
 log = logging.getLogger(__name__)
@@ -203,6 +206,40 @@ def residue_walk(params: RecurrenceParams, p: int, m: int, count: int) -> list[i
         out.append(a)
         a, b, c = b, c, (r2 * c - s2 * b + a) % p
     return out
+
+
+# The most bits the exact terms of one recurrence hold together.  A(k)
+# has about k*log2(largest root) bits, so the index at which the table
+# stops depends on (r, s), but its size never does.
+EXACT_TERM_BITS = 1 << 25
+
+
+@functools.lru_cache(maxsize=4)
+def _exact_table(params: RecurrenceParams) -> list[int]:
+    # Grown in place by exact_terms.
+    return [3, params.r, params.r * params.r - 2 * params.s]
+
+
+def exact_terms(params: RecurrenceParams, count: int) -> list[int]:
+    """A(0), A(1), ... as exact integers: at least count of them, or all
+    that fit in EXACT_TERM_BITS bits together.
+
+    The list is shared and grows across calls; a caller reads, never
+    writes it.  The scans read A(m) mod P from it for the one prime
+    factor P of n = m*P above the sieve bound, since A(m*P) = A(m) mod P
+    (residue_walk).
+    """
+    terms = _exact_table(params)
+    if len(terms) < count:
+        bits = sum(map(int.bit_length, terms))
+        r, s = params.r, params.s
+        while len(terms) < count:
+            a = r * terms[-1] - s * terms[-2] + terms[-3]
+            bits += a.bit_length()
+            if bits > EXACT_TERM_BITS:
+                break
+            terms.append(a)
+    return terms
 
 
 def _recover_root(params: RecurrenceParams, n: int) -> int | None:

@@ -21,10 +21,13 @@ odd multiple n = p*m (m >= 3) of a prime p with A(n) != r mod p: such
 an n cannot have A(n) = r mod n.  For p <= 59, A(n) mod p is read from
 the period table of A mod p (perrin.residue_tables); for the sieve
 primes above 59 it is A(m) mod p, since A(p*m) = A(m) mod p, walked over
-the block's m by perrin.residue_walk.  Only the two Perrin tests have
-this prefilter (SearchSpec.prefilter); Frobenius scans get the sieve
-alone.  Only the composites that remain, and to which the test applies,
-run it.
+the block's m by perrin.residue_walk.  Where the sieve is exact, it
+last writes each n still marked 1 as s*P, with P the part of n free of
+sieve primes; P > 1 is then a prime, since P <= hi < (isqrt(hi) + 1)^2,
+and n is marked 2 when A(s) != r mod P, read from the exact terms of
+perrin.exact_terms.  Only the two Perrin tests have this prefilter
+(SearchSpec.prefilter); Frobenius scans get the sieve alone.  Only the
+composites that remain, and to which the test applies, run it.
 
 The range is cut into fixed-size blocks (default 2**16).  Workers scan
 blocks in parallel but the parent writes results strictly in block
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field, replace
 from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, is_prime_baseline, jacobi
 from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
-                     residue_tables, residue_walk, signature)
+                     exact_terms, residue_tables, residue_walk, signature)
 from .polymod import _require_squarefree
 
 __all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
@@ -186,18 +189,21 @@ def _mark_block(first: int, hi: int,
     is None, marks[i] is 2 when n = p*m (m >= 3 odd) for a prime p with
     A(n) != r mod p: read from the period tables of perrin.residue_tables
     for p <= 59, and for the sieve primes above 59 from A(m) mod p,
-    walked by perrin.residue_walk over the m of the block."""
+    walked by perrin.residue_walk over the m of the block.  Last, when
+    the sieve is exact, _mark_rough marks 2 each n still marked 1 whose
+    one prime factor P above the sieve bound has A(n/P) != r mod P."""
     size = len(range(first, hi + 1, 2))
     marks = bytearray(size)
     ones = memoryview(b"\x01" * size)
     root = math.isqrt(hi)
+    exact = root <= _TRIAL_LIMIT
     primes = _small_primes()[1:bisect.bisect_right(_small_primes(), root)]
     for p in primes:
         i = _odd_multiple_index(p, max(p * p, first), first)
         if i < size:
             marks[i::p] = ones[:len(range(i, size, p))]
     if params is None:
-        return marks, root <= _TRIAL_LIMIT
+        return marks, exact
     tables = residue_tables(params)
     for p, table in tables:
         period = len(table)
@@ -214,7 +220,32 @@ def _mark_block(first: int, hi: int,
                 if a != r:
                     marks[i] = 2
                 i += p
-    return marks, root <= _TRIAL_LIMIT
+    if exact:
+        _mark_rough(marks, first, hi, params, primes)
+    return marks, exact
+
+
+def _mark_rough(marks: bytearray, first: int, hi: int, params: RecurrenceParams,
+                primes: list[int]) -> None:
+    # Marks 2 each n still marked 1 that is s*P, with P > 1 the part of n
+    # free of the sieve primes (every odd prime <= isqrt(hi)), such that
+    # A(s) != r mod P.  P is prime, since P <= hi < (isqrt(hi) + 1)^2,
+    # and A(s*P) = A(s) mod P; s <= hi // (isqrt(hi) + 1), and an s past
+    # the end of the exact terms is left marked 1.
+    terms = exact_terms(params, hi // (math.isqrt(hi) + 1) + 1)
+    radical = math.prod(primes)
+    r = params.r
+    i = marks.find(1)
+    while i >= 0:
+        n = first + 2 * i
+        g = math.gcd(n, radical)
+        rough = n // g
+        while (h := math.gcd(rough, g)) > 1:
+            rough //= h
+        s = n // rough
+        if rough > 1 and s < len(terms) and (terms[s] - r) % rough:
+            marks[i] = 2
+        i = marks.find(1, i + 1)
 
 
 def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
@@ -243,7 +274,7 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
 
 
 def _params_hash(start: int, stop: int, spec: SearchSpec, block_size: int) -> str:
-    text = f"v2;from={start};to={stop};block={block_size};{spec.canonical()}"
+    text = f"v3;from={start};to={stop};block={block_size};{spec.canonical()}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 

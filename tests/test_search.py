@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,8 @@ from primesig import search
 from primesig.cli import verify_number
 from primesig.constructor import find_k_and_primes, subset_product_search
 from primesig.modarith import is_prime_baseline
-from primesig.perrin import RecurrenceParams, perrin_test, sequence_term
+from primesig.perrin import (EXACT_TERM_BITS, RecurrenceParams, exact_terms, perrin_test,
+                             sequence_term)
 from primesig.search import (
     OUTCOMES,
     CheckpointMismatch,
@@ -17,7 +19,7 @@ from primesig.search import (
     run_range_search,
 )
 
-from oracles import sieve, weak_perrin_by_stepping_many
+from oracles import recurrence_term, sieve, weak_perrin_by_stepping_many
 
 
 class Killed(Exception):
@@ -400,6 +402,76 @@ def test_prefilter_is_sound_and_misses_no_sieve_prime(rs, lo, monkeypatch):
         for p in primes:
             if n % p == 0 and n != p:
                 assert sequence_term(params, n // p, p) == params.r % p, (n, p)
+    if hi < 10001**2:
+        # Where the sieve is exact, nor a prime factor P above it with
+        # A(n/P) != r mod P, which the same identity rejects.
+        for n in failed:
+            big = rough_part(n, primes)
+            if big > 1:
+                assert recurrence_term(*rs, n // big, big) == params.r % big, (n, big)
+
+
+def rough_part(n, primes):
+    # n with every factor from primes divided out, by trial division.
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+@pytest.mark.parametrize("rs, lo", [
+    ((0, -1), 262_145), ((-2, 2), 262_145), ((-2, 3), 262_145),
+    ((0, -1), 896_441),  # holds 904631 = 7 * 13 * 9941
+    ((0, -1), 10001**2 - 16384),  # the last window below 10001^2
+    ((0, -1), 10001**2),  # the first above it, where the sieve is not exact
+])
+def test_rough_prime_step_marks_what_trial_division_predicts(rs, lo, monkeypatch):
+    # The step after the walk marks 2 each n still marked 1 whose part P
+    # free of sieve primes is a prime with A(n/P) != r mod P; it runs only
+    # where the sieve is exact.  Its marks are checked against trial
+    # division and stepping mod P.
+    hi = lo + 16383
+    params = RecurrenceParams(*rs)
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_mark_rough", lambda *args: None)
+        walked, _ = search._mark_block(lo, hi, params)
+    marks, exact = search._mark_block(lo, hi, params)
+    assert exact == (hi < 10001**2)
+    flags = sieve(math.isqrt(hi))
+    primes = [p for p in range(3, len(flags), 2) if flags[p]]
+    want = bytearray(walked)
+    for i, n in enumerate(range(lo, hi + 1, 2)):
+        if exact and walked[i] == 1:
+            big = rough_part(n, primes)
+            if big > 1 and recurrence_term(*rs, n // big, big) != params.r % big:
+                want[i] = 2
+    assert marks == want
+    assert (want != walked) == exact
+    if lo < 904631 <= hi:
+        # 9941 divides A(91), so the step keeps 904631 for the weak test.
+        assert rough_part(904631, primes) == 9941
+        assert marks[(904631 - lo) // 2] == 1
+
+
+def test_exact_terms_stay_within_their_bit_budget():
+    # A root of x^3 - 1000x^2 + 7x - 1 lies near 1000, so A(k) has about
+    # 10k bits, and the terms up to 10^4 that a block near 10^8 reads
+    # would take about 5*10^8 bits.
+    params = RecurrenceParams(1000, 7)
+    lo, hi = 10**8 - 4095, 10**8
+    tracemalloc.start()
+    try:
+        marks, exact = search._mark_block(lo, hi, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = exact_terms(params, 0)
+    assert exact and 2 in marks
+    assert 1000 < len(terms) < hi // math.isqrt(hi)
+    assert sum(map(int.bit_length, terms)) <= EXACT_TERM_BITS
+    assert peak < EXACT_TERM_BITS // 4
+    assert [a % 10007 for a in terms[:50]] == [recurrence_term(1000, 7, k, 10007)
+                                                for k in range(50)]
 
 
 def per_n_flags(test, lo, hi):
@@ -468,20 +540,30 @@ def test_resume_refuses_checkpoint_without_outcome_counts(tmp_path):
                          resume=True, block_size=1000)
 
 
+def resume_with_hash_prefix(tmp_path, prefix):
+    # Resumes a killed perrin-weak scan from its checkpoint, whose hash is
+    # recomputed with the given text prefix.
+    spec = SearchSpec("perrin-weak")
+    out, ckpt, state = run(tmp_path, prefix, start=3, stop=5000, spec=spec,
+                           block_size=1000, killed_after=2)
+    text = f"{prefix};from=3;to=5000;block=1000;{spec.canonical()}"
+    ckpt.write_text(json.dumps(state | {"hash": hashlib.sha256(text.encode()).hexdigest()}))
+    return run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
+                            resume=True, block_size=1000)
+
+
 def test_resume_refuses_checkpoint_of_the_table_only_prefilter(tmp_path):
     # A "v1" hash was written while only the period tables prefiltered, so
     # its rejected:prefilter and rejected:test counts split differently.
-    spec = SearchSpec("perrin-weak")
-    out, ckpt, state = run(tmp_path, "v1hash", start=3, stop=5000, spec=spec,
-                           block_size=1000, killed_after=2)
-    text = f"v1;from=3;to=5000;block=1000;{spec.canonical()}"
-    ckpt.write_text(json.dumps(state | {"hash": hashlib.sha256(text.encode()).hexdigest()}))
     with pytest.raises(CheckpointMismatch):
-        run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
-                         resume=True, block_size=1000)
-    ckpt.write_text(json.dumps(state))
-    assert run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
-                            resume=True, block_size=1000)["completed"]
+        resume_with_hash_prefix(tmp_path, "v1")
+
+
+def test_resume_refuses_checkpoint_of_the_walk_only_prefilter(tmp_path):
+    # A "v2" hash was written before the rough prime step; "v3" is today's.
+    with pytest.raises(CheckpointMismatch):
+        resume_with_hash_prefix(tmp_path, "v2")
+    assert resume_with_hash_prefix(tmp_path, "v3")["completed"]
 
 
 def test_pool_has_no_idle_workers(tmp_path, monkeypatch):
