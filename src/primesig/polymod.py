@@ -15,7 +15,7 @@ square-and-multiply kernels, one for x^e (where multiplying is a shift)
 and one for g^e with any g; other degrees share the generic product and
 remainder.  _require_monic is the one check that an integer polynomial
 from a caller is monic of a given minimum degree, and _require_squarefree
-the one check that it also has no repeated root.
+the one check that it also has no repeated root and no root 0.
 
 The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by Euclid's remainder recursion over
@@ -72,9 +72,12 @@ def _require_monic(coeffs: Sequence[int], min_degree: int) -> list[int]:
 def _require_squarefree(coeffs: Sequence[int],
                         min_degree: int) -> tuple[list[int], int | None]:
     # _require_monic's coefficients and their discriminant (None for
-    # degree 1), or ValueError when the discriminant is 0: a repeated root
-    # over the integers.
+    # degree 1), or ValueError for a root 0 or a repeated root over the
+    # integers: either makes f(0)*delta = 0, so that no Frobenius test
+    # applies at any n.
     cs = _require_monic(coeffs, min_degree)
+    if cs[0] == 0:
+        raise ValueError(f"polynomial {tuple(coeffs)} has the root 0")
     delta = _discriminant(tuple(cs)) if len(cs) > 2 else None
     if delta == 0:
         raise ValueError(f"polynomial {tuple(coeffs)} is not squarefree")

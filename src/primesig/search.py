@@ -19,15 +19,22 @@ when isqrt(hi) is within that bound the sieve is exact, and above it
 only the unmarked n are put to is_prime_baseline.  It then marks 2 each
 odd multiple n = p*m (m >= 3) of a prime p with A(n) != r mod p: such
 an n cannot have A(n) = r mod n.  For p <= 59, A(n) mod p is read from
-the period table of A mod p (perrin.residue_tables); for the sieve
-primes above 59 it is A(m) mod p, since A(p*m) = A(m) mod p, walked over
-the block's m by perrin.residue_walk.  Where the sieve is exact, it
-last writes each n still marked 1 as s*P, with P the part of n free of
-sieve primes; P > 1 is then a prime, since P <= hi < (isqrt(hi) + 1)^2,
-and n is marked 2 when A(s) != r mod P, read from the exact terms of
-perrin.exact_terms.  Only the two Perrin tests have this prefilter
-(SearchSpec.prefilter); Frobenius scans get the sieve alone.  Only the
-composites that remain, and to which the test applies, run it.
+the period table of A mod p (perrin.residue_tables), by slices: all odd
+multiples of p are marked 2 at once, and the residue classes whose table
+entry is 1 get their marks back.  For the sieve primes above 59 it is
+A(m) mod p, since A(p*m) = A(m) mod p, walked over the block's m by
+perrin.residue_walk.  Where the sieve is exact, it last writes each n
+still marked 1 as s*P, with P the part of n free of sieve primes; P > 1
+is then a prime, since P <= hi < (isqrt(hi) + 1)^2, and n is marked 2
+when A(s) != r mod P, read from the exact terms of perrin.exact_terms.
+Only the two Perrin tests have this prefilter (SearchSpec.prefilter);
+Frobenius scans get the sieve alone.  Only the composites that remain,
+and to which the test applies, run it.  The outcome counts come from the
+marks wherever they settle them: in an exact block the n marked 0 are
+the primes, and when the test applies to every odd composite
+(perrin-weak) the n marked 2 are rejected, each counted by one
+bytearray.count.  Only the other n are visited one at a time, so a block
+costs in proportion to what its marks leave open.
 
 The range is cut into fixed-size blocks (default 2**16).  Workers scan
 blocks in parallel but the parent writes results strictly in block
@@ -114,6 +121,12 @@ class SearchSpec:
             return math.gcd(n, self.poly[0] * self.delta) != n
         return True
 
+    @property
+    def may_refuse(self) -> bool:
+        """Whether applies(n) can be False at some odd composite n; where
+        it cannot, a scan never asks."""
+        return self.test != "perrin-weak"
+
     def run(self, n: int) -> PerrinResult | FrobeniusReport:
         """The test's result at n."""
         if self.test == "frobenius":
@@ -188,10 +201,12 @@ def _mark_block(first: int, hi: int,
     isqrt(hi), so that every unmarked n is prime.  Then, unless params
     is None, marks[i] is 2 when n = p*m (m >= 3 odd) for a prime p with
     A(n) != r mod p: read from the period tables of perrin.residue_tables
-    for p <= 59, and for the sieve primes above 59 from A(m) mod p,
-    walked by perrin.residue_walk over the m of the block.  Last, when
-    the sieve is exact, _mark_rough marks 2 each n still marked 1 whose
-    one prime factor P above the sieve bound has A(n/P) != r mod P."""
+    for p <= 59, one slice per residue class that the table accepts
+    rather than one step per multiple, and for the sieve primes above 59
+    from A(m) mod p, walked by perrin.residue_walk over the m of the
+    block.  Last, when the sieve is exact, _mark_rough marks 2 each n
+    still marked 1 whose one prime factor P above the sieve bound has
+    A(n/P) != r mod P."""
     size = len(range(first, hi + 1, 2))
     marks = bytearray(size)
     ones = memoryview(b"\x01" * size)
@@ -205,12 +220,26 @@ def _mark_block(first: int, hi: int,
     if params is None:
         return marks, exact
     tables = residue_tables(params)
+    twos = memoryview(b"\x02" * size)
     for p, table in tables:
-        period = len(table)
-        for n in range(first + 2 * _odd_multiple_index(p, max(3 * p, first), first),
-                       hi + 1, 2 * p):
-            if not table[n % period]:
-                marks[(n - first) >> 1] = 2
+        i = _odd_multiple_index(p, max(3 * p, first), first)
+        if i >= size:
+            continue
+        # The odd multiples n = first + 2*i + 2*p*k sit at i + p*k, and
+        # n mod T repeats every cycle of them.  All are marked 2, then the
+        # classes k mod cycle whose table entry is 1 get their marks back.
+        g = math.gcd(2 * p, len(table))
+        cycle = len(table) // g
+        inverse = pow(2 * p // g, -1, cycle)
+        n = first + 2 * i
+        saved = marks[i::p]
+        marks[i::p] = twos[:len(saved)]
+        t = table.find(1)
+        while t >= 0:
+            if (t - n) % g == 0:
+                k = (t - n) // g * inverse % cycle
+                marks[i + p * k::p * cycle] = saved[k::cycle]
+            t = table.find(1, t + 1)
     # The tables hold the least odd primes; the walk takes the rest.
     for p in primes[len(tables):]:
         i = _odd_multiple_index(p, max(3 * p, first), first)
@@ -253,10 +282,20 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
     first = max(lo | 1, 3)
     marks, exact = _mark_block(first, hi, spec.prefilter)
     counts = dict.fromkeys(OUTCOMES, 0)
+    # The marks settle two outcomes without a visit: a 0 is a prime when
+    # the sieve is exact, and a 2 is rejected when the test refuses no
+    # composite.  Only the other n are visited, in order.
+    if exact:
+        counts["prime"] = marks.count(0)
+    if not spec.may_refuse:
+        counts["rejected:prefilter"] = marks.count(2)
+    visit = marks.translate(bytes.maketrans(b"\0\1\2", bytes((not exact, 1, spec.may_refuse))))
     lines = []
-    for i, n in enumerate(range(first, hi + 1, 2)):
+    i = visit.find(1)
+    while i >= 0:
+        n = first + 2 * i
         mark = marks[i]
-        if not mark and (exact or is_prime_baseline(n)):
+        if not mark and is_prime_baseline(n):
             outcome = "prime"
         elif not spec.applies(n):
             outcome = "not-applicable"
@@ -270,6 +309,7 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
                 outcome = "flagged"
                 lines.append(json.dumps(rec, separators=(",", ":")))
         counts[outcome] += 1
+        i = visit.find(1, i + 1)
     return index, lines, counts
 
 

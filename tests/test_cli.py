@@ -159,6 +159,7 @@ def test_search_cli_roundtrip(tmp_path, capsys):
     ["--test", "perrin-full", "--rs=3,3"],  # (x - 1)^3
     ["--test", "perrin-full", "--poly=1,2,1"],  # the Perrin tests read --rs only
     ["--test", "frobenius", "--rs=5,7"],  # frobenius reads --poly only
+    ["--test", "frobenius", "--poly=0,-1,0,1"],  # x^3 - x: the root 0
 ])
 def test_search_bad_spec_exits_one_before_scanning(tmp_path, capsys, args):
     out = tmp_path / "x.jsonl"

@@ -277,6 +277,7 @@ def test_params_validation():
     for change, message in [
         ({"poly": (1, 2)}, "polynomial must be monic of degree >= 1"),
         ({"poly": (1, 2, 1)}, "polynomial (1, 2, 1) is not squarefree"),
+        ({"poly": (0, -1, 0, 1)}, "polynomial (0, -1, 0, 1) has the root 0"),
         ({"y": 1}, "smoothness bound y = 1 below 2"),
         ({"q_range": (8, 8)}, "harvest interval (8, 8) is empty"),
         ({"t_max": 2}, "t_max = 2 admits no subsets"),

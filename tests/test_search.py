@@ -9,9 +9,10 @@ import pytest
 from primesig import search
 from primesig.cli import verify_number
 from primesig.constructor import find_k_and_primes, subset_product_search
+from primesig.frobenius import frobenius_test
 from primesig.modarith import is_prime_baseline
 from primesig.perrin import (EXACT_TERM_BITS, RecurrenceParams, exact_terms, perrin_test,
-                             sequence_term)
+                             residue_tables, sequence_term)
 from primesig.search import (
     OUTCOMES,
     CheckpointMismatch,
@@ -90,6 +91,16 @@ def test_spec_rejects_repeated_roots():
     with pytest.raises(ValueError, match="not squarefree"):
         SearchSpec("frobenius", poly=(1, 2, 1))
     assert SearchSpec("perrin-weak", 3, 3).delta == 0
+
+
+def test_spec_refuses_a_root_zero():
+    # x^3 - x and x^2 + x: f(0)*delta = 0, so gcd(n, f(0)*delta) = n for
+    # every n and the test would apply nowhere.
+    for poly in ((0, -1, 0, 1), (0, 1, 1)):
+        with pytest.raises(ValueError, match="has the root 0"):
+            SearchSpec("frobenius", poly=poly)
+        with pytest.raises(ValueError, match="has the root 0"):
+            frobenius_test(91, poly)
 
 
 def test_frobenius_scan_finds_known_pseudoprime(tmp_path):
@@ -373,6 +384,114 @@ def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
     assert asked == [n for n, m in zip(odd, marks) if not m]
     assert 10007**2 in asked
     assert counts["prime"] == sum(map(is_prime_baseline, odd))
+
+
+def per_n_scan_block(lo, hi, spec):
+    # The block loop as it was before the marks settled outcomes: every
+    # odd n is visited and counted one at a time.
+    first = max(lo | 1, 3)
+    marks, exact = search._mark_block(first, hi, spec.prefilter)
+    counts = dict.fromkeys(OUTCOMES, 0)
+    lines = []
+    for i, n in enumerate(range(first, hi + 1, 2)):
+        mark = marks[i]
+        if not mark and (exact or is_prime_baseline(n)):
+            outcome = "prime"
+        elif not spec.applies(n):
+            outcome = "not-applicable"
+        elif mark == 2:
+            outcome = "rejected:prefilter"
+        else:
+            rec = search._record_for(n, spec)
+            if rec is None:
+                outcome = "rejected:test"
+            else:
+                outcome = "flagged"
+                lines.append(json.dumps(rec, separators=(",", ":")))
+        counts[outcome] += 1
+    return lines, counts
+
+
+SCAN_WINDOWS = [
+    (3, 1 << 16),  # holds the sieve and table primes themselves
+    (3, 2), (3, 3), (4, 2), (4, 3), (9, 2), (10, 3),
+    (262_145, 1 << 14),  # holds 271441
+    (10001**2 - 4096, 4096),  # the last window below 10001^2
+    (10001**2, 4096),  # the first above it, where the sieve is not exact
+]
+
+
+SCAN_SPECS = {
+    "perrin-weak": SearchSpec("perrin-weak"),
+    "perrin-full": SearchSpec("perrin-full"),
+    "frobenius": SearchSpec("frobenius"),
+    # (x - 1)^3: no composite is rejected and every one survives to the
+    # test, which flags it; the smaller windows suffice.
+    "weak-3-3": SearchSpec("perrin-weak", 3, 3),
+}
+
+
+@pytest.mark.parametrize("name, lo, size", [
+    (name, lo, size) for name in SCAN_SPECS for lo, size in SCAN_WINDOWS
+    if name != "weak-3-3" or size <= 1 << 14])
+def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
+    spec = SCAN_SPECS[name]
+    hi = lo + size - 1
+    want = per_n_scan_block(lo, hi, spec)
+    asked, tested = [], []
+    real_applies, real_record_for = SearchSpec.applies, search._record_for
+
+    def applies(self, n):
+        asked.append(n)
+        return real_applies(self, n)
+
+    def record_for(n, spec):
+        tested.append(n)
+        return real_record_for(n, spec)
+
+    monkeypatch.setattr(SearchSpec, "applies", applies)
+    monkeypatch.setattr(search, "_record_for", record_for)
+    _, lines, counts = search._scan_block((0, lo, hi, spec))
+    assert (lines, counts) == want
+    # Only the n the marks leave open are visited: no prime, no n twice,
+    # and for perrin-weak no n the prefilter rejected.  Only those that
+    # the test applies to and the prefilter kept reach it.
+    assert not any(map(is_prime_baseline, asked))
+    assert len(set(asked)) == len(asked)
+    assert len(tested) == counts["rejected:test"] + counts["flagged"]
+    if not spec.may_refuse:
+        first = max(lo | 1, 3)
+        marks, _ = search._mark_block(first, hi, spec.prefilter)
+        assert all(marks[(n - first) // 2] != 2 for n in asked)
+    if name == "weak-3-3":
+        assert counts["flagged"] == sum(counts.values()) - counts["prime"]
+
+
+@pytest.mark.parametrize("rs", [(0, -1), (-2, 2), (-2, 3)])
+@pytest.mark.parametrize("lo, size", [
+    (3, 1 << 16), (3, 2), (3, 200), (101, 40), (1_000_001, 64),
+    (3 * 2**16, 1 << 16), (10**8 - 2**16 + 1, 1 << 16),
+])
+def test_table_step_marks_what_the_tables_say(rs, lo, size, monkeypatch):
+    # The table step marks 2 by slices; here it is checked against the
+    # per-n rule: an odd multiple n = p*m (m >= 3) of a table prime p is
+    # marked 2 when table[n % T] is 0.  The windows of 40 and 64 hold
+    # fewer multiples of most table primes than one cycle of n mod T.
+    hi = lo + size - 1
+    first = max(lo | 1, 3)
+    params = RecurrenceParams(*rs)
+    monkeypatch.setattr(search, "_mark_rough", lambda *args: None)
+    monkeypatch.setattr(search, "residue_walk", lambda params, p, m, count: [params.r % p] * count)
+    marks, _ = search._mark_block(first, hi, params)
+    want, _ = search._mark_block(first, hi, None)
+    for p, table in residue_tables(params):
+        m = max(3, -(-first // p))
+        for n in range(p * (m | 1), hi + 1, 2 * p):
+            if not table[n % len(table)]:
+                want[(n - first) >> 1] = 2
+    assert marks == want
+    if size > 100:
+        assert 2 in marks and 1 in marks
 
 
 @pytest.mark.parametrize("rs", [(0, -1), (-2, 2)])
