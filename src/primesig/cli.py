@@ -10,8 +10,8 @@ verify prints a korselt record of its own; for the scan tests it prints
 the record search.record builds, the format that search writes.
 construct exits 0 when at least one certificate was emitted, 2 when a
 stage starved on valid parameters, and 1 on malformed input or invalid
-parameters.  Params files are flat key=value lines; integer lists (poly)
-are comma-separated decimals.
+parameters.  Params files are flat key=value lines, each key at most
+once; integer lists (poly) are comma-separated decimals.
 """
 
 from __future__ import annotations
@@ -27,26 +27,28 @@ from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, record, run_range_sea
 __all__ = ["main", "verify_number", "run_construct_job", "parse_params_file"]
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, name: str, count: int | None = None) -> tuple[int, ...]:
+    # The comma-separated integers of text, exactly count of them unless
+    # count is None; name says where text came from.
+    want = {None: "comma-separated integers", 1: "an integer", 2: "two integers"}[count]
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        ints = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        ints = ()
+    if not ints or count not in (None, len(ints)):
+        raise ValueError(f"{name} wants {want}, got {text!r}")
+    return ints
 
 
 def _rs_and_poly(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # The --rs and --poly values, or their defaults.  Only the Perrin tests
     # read --rs and only frobenius reads --poly; the other option is an error.
-    if args.rs and not args.test.startswith("perrin-"):
+    if args.rs is not None and not args.test.startswith("perrin-"):
         raise ValueError(f"--rs is read by the Perrin tests only, not by {args.test}")
-    if args.poly and args.test != "frobenius":
+    if args.poly is not None and args.test != "frobenius":
         raise ValueError(f"--poly is read by frobenius only, not by {args.test}")
-    rs = (0, -1)
-    if args.rs:
-        rs = _parse_int_list(args.rs)
-        if len(rs) != 2:
-            raise ValueError(f"--rs wants two integers, got {args.rs!r}")
-    poly = _parse_int_list(args.poly) if args.poly else (-1, -1, 0, 1)
+    rs = (0, -1) if args.rs is None else _parse_ints(args.rs, "--rs", 2)
+    poly = (-1, -1, 0, 1) if args.poly is None else _parse_ints(args.poly, "--poly")
     return rs, poly
 
 
@@ -128,8 +130,10 @@ _PARAM_KEYS = {"y", "q_min", "q_max", "k_min", "k_max", "x_bound", "t_max",
 
 
 def parse_params_file(path: str) -> ConstructionParams:
-    """Flat key=value lines; # starts a comment, blank lines are skipped."""
-    values: dict[str, str] = {}
+    """Flat key=value lines; # starts a comment, blank lines are skipped.
+    Each key is given at most once; every value is an integer, except
+    poly, a comma-separated list of them."""
+    values: dict[str, int | tuple[int, ...]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -141,27 +145,19 @@ def parse_params_file(path: str) -> ConstructionParams:
             key = key.strip()
             if key not in _PARAM_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
+            ints = _parse_ints(value.strip(), f"{path}:{lineno}: {key}",
+                               None if key == "poly" else 1)
+            values[key] = ints if key == "poly" else ints[0]
     required = {"y", "q_min", "q_max", "k_min", "k_max", "x_bound", "t_max"}
     missing = sorted(required - values.keys())
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
     # poly and budget are passed only when given, so the defaults stay
     # those of ConstructionParams.
-    optional = {}
-    if "poly" in values:
-        optional["poly"] = _parse_int_list(values["poly"])
-    if "budget" in values:
-        optional["budget"] = int(values["budget"])
-    return ConstructionParams(
-        y=int(values["y"]),
-        q_range=(int(values["q_min"]), int(values["q_max"])),
-        k_min=int(values["k_min"]),
-        k_max=int(values["k_max"]),
-        x_bound=int(values["x_bound"]),
-        t_max=int(values["t_max"]),
-        **optional,
-    )
+    q_range = (values.pop("q_min"), values.pop("q_max"))
+    return ConstructionParams(q_range=q_range, **values)
 
 
 def run_construct_job(params: ConstructionParams, out=None, err=None) -> int:

@@ -8,9 +8,10 @@ as well.  The classical Perrin sequence is (r, s) = (0, -1).
 
 Terms are computed in the ring Z/mZ[x]/(f) of the cubic f: A(k) is the
 trace of x^k, so with x^k = c0 + c1*x + c2*x^2 mod f it equals
-c0*A(0) + c1*A(1) + c2*A(2), and each further term costs one more
-multiplication by x.  A single negative index runs the same computation
-on the reversed cubic x^3 - s*x^2 + r*x - 1, so no inverse is needed.
+c0*A(0) + c1*A(1) + c2*A(2), and A(k + j) is the same sum over
+A(j), A(j + 1), A(j + 2), read from exact_terms.  A single negative
+index runs the same computation on the reversed cubic
+x^3 - s*x^2 + r*x - 1, so no inverse is needed.
 The signature of n mod m is the 6-tuple (A(-n-1), A(-n), A(-n+1),
 A(n-1), A(n), A(n+1)).  It costs one power, x^(n-1), and one squaring:
 since the roots multiply to 1, A(-k) = (A(k)^2 - A(2k))/2.  An odd n
@@ -109,22 +110,12 @@ class SignatureClass:
 NOT_ACCEPTABLE = SignatureClass("not-acceptable")
 
 
-def _base_window(params: RecurrenceParams, m: int):
-    # (A(0), A(1), A(2)) mod m.
-    return (3 % m, params.r % m, (params.r * params.r - 2 * params.s) % m)
-
-
 def _terms(params: RecurrenceParams, coeffs: list[int], m: int, count: int) -> list[int]:
-    # A(k), ..., A(k + count - 1) mod m from coeffs = x^k mod f: the window
-    # dotted with x^k, then with x^(k+1), ... by multiplying through by x.
+    # A(k), ..., A(k + count - 1) mod m from coeffs = x^k mod f: A(k + j)
+    # is the trace of x^k * x^j, so coeffs dotted with A(j), A(j+1), A(j+2).
     c0, c1, c2 = coeffs + [0] * (3 - len(coeffs))
-    a0, a1, a2 = _base_window(params, m)
-    out = []
-    for _ in range(count):
-        out.append((c0 * a0 + c1 * a1 + c2 * a2) % m)
-        # x^3 = r*x^2 - s*x + 1 in the ring.
-        c0, c1, c2 = c2, c0 - params.s * c2, c1 + params.r * c2
-    return out
+    a = exact_terms(params, count + 2)
+    return [(c0 * a[j] + c1 * a[j + 1] + c2 * a[j + 2]) % m for j in range(count)]
 
 
 def sequence_term(params: RecurrenceParams, k: int, m: int) -> int:
@@ -174,7 +165,7 @@ def residue_tables(params: RecurrenceParams) -> tuple[tuple[int, bytes], ...]:
     """
     out = []
     for p in _TABLE_PRIMES:
-        start = _base_window(params, p)
+        start = tuple(a % p for a in exact_terms(params, 3)[:3])
         r, s = params.r % p, params.s % p
         a, b, c = start
         table = bytearray()
@@ -208,35 +199,39 @@ def residue_walk(params: RecurrenceParams, p: int, m: int, count: int) -> list[i
     return out
 
 
-# The most bits the exact terms of one recurrence hold together.  A(k)
-# has about k*log2(largest root) bits, so the index at which the table
-# stops depends on (r, s), but its size never does.
+# The most bits the exact terms of one recurrence hold together, past
+# the first 7, which _terms reads whatever (r, s).  A(k) has about
+# k*log2(largest root) bits, so the index at which the table stops
+# depends on (r, s), but its size never does.
 EXACT_TERM_BITS = 1 << 25
 
 
 @functools.lru_cache(maxsize=4)
-def _exact_table(params: RecurrenceParams) -> list[int]:
-    # Grown in place by exact_terms.
-    return [3, params.r, params.r * params.r - 2 * params.s]
+def _exact_table(r: int, s: int) -> list[int]:
+    # Grown in place by exact_terms.  Keyed by (r, s) rather than by
+    # RecurrenceParams, whose generated __hash__ would double the cost of
+    # a lookup, which every _terms call makes.
+    return [3, r, r * r - 2 * s]
 
 
 def exact_terms(params: RecurrenceParams, count: int) -> list[int]:
     """A(0), A(1), ... as exact integers: at least count of them, or all
-    that fit in EXACT_TERM_BITS bits together.
+    that fit in EXACT_TERM_BITS bits together, but never fewer than
+    min(count, 7).
 
     The list is shared and grows across calls; a caller reads, never
     writes it.  The scans read A(m) mod P from it for the one prime
     factor P of n = m*P above the sieve bound, since A(m*P) = A(m) mod P
     (residue_walk).
     """
-    terms = _exact_table(params)
+    r, s = params.r, params.s
+    terms = _exact_table(r, s)
     if len(terms) < count:
         bits = sum(map(int.bit_length, terms))
-        r, s = params.r, params.s
         while len(terms) < count:
             a = r * terms[-1] - s * terms[-2] + terms[-3]
             bits += a.bit_length()
-            if bits > EXACT_TERM_BITS:
+            if bits > EXACT_TERM_BITS and len(terms) >= 7:
                 break
             terms.append(a)
     return terms
@@ -264,7 +259,7 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
     r = params.r % n
     s = params.s % n
     t = sig.values
-    a0, a1, a2 = _base_window(params, n)
+    a0, a1, a2 = [a % n for a in exact_terms(params, 3)[:3]]
     am1 = s
     am2 = (params.s * params.s - 2 * params.r) % n
     if t == (am2, am1, a0, a0, a1, a2):

@@ -13,28 +13,15 @@ and for `primesig verify` alike; the one difference is that a scan adds
 the signature class to a weak hit (when gcd(delta, n) = 1) before
 building its record.
 
-Each block gets one marking pass, then the test.  The pass marks 1 the
-block's composites with an odd prime factor up to min(isqrt(hi), 10^4);
-when isqrt(hi) is within that bound the sieve is exact, and above it
-only the unmarked n are put to is_prime_baseline.  It then marks 2 each
-odd multiple n = p*m (m >= 3) of a prime p with A(n) != r mod p: such
-an n cannot have A(n) = r mod n.  For p <= 59, A(n) mod p is read from
-the period table of A mod p (perrin.residue_tables), by slices: all odd
-multiples of p are marked 2 at once, and the residue classes whose table
-entry is 1 get their marks back.  For the sieve primes above 59 it is
-A(m) mod p, since A(p*m) = A(m) mod p, walked over the block's m by
-perrin.residue_walk.  Where the sieve is exact, it last writes each n
-still marked 1 as s*P, with P the part of n free of sieve primes; P > 1
-is then a prime, since P <= hi < (isqrt(hi) + 1)^2, and n is marked 2
-when A(s) != r mod P, read from the exact terms of perrin.exact_terms.
-Only the two Perrin tests have this prefilter (SearchSpec.prefilter);
-Frobenius scans get the sieve alone.  Only the composites that remain,
-and to which the test applies, run it.  The outcome counts come from the
-marks wherever they settle them: in an exact block the n marked 0 are
-the primes, and when the test applies to every odd composite
-(perrin-weak) the n marked 2 are rejected, each counted by one
-bytearray.count.  Only the other n are visited one at a time, so a block
-costs in proportion to what its marks leave open.
+Each block gets one marking pass (_mark_block), then the test.  The pass
+marks each odd n of the block 0 when it is prime and 1 when it is
+composite.  For the two Perrin tests (SearchSpec.prefilter) it then marks
+2 composites that cannot pass, each with a prime factor p such that
+A(n) != r mod p; Frobenius scans get the sieve alone.  For a test that
+does not apply to every odd composite (SearchSpec.may_refuse), one more
+pass marks 3 each composite it refuses.  The test runs only on the n
+still marked 1, and the outcome counts are those of the marks: 0 prime,
+3 not-applicable, 2 rejected:prefilter, 1 rejected:test or flagged.
 
 The range is cut into fixed-size blocks (default 2**16).  Workers scan
 blocks in parallel but the parent writes results strictly in block
@@ -91,7 +78,9 @@ class SearchSpec:
     to run it (run), its recurrence (params, from r and s) and the
     discriminant whose Jacobi symbol its records carry (delta: of poly
     for frobenius, of the cubic of params for the Perrin tests).  Both
-    are computed once, when the spec is built."""
+    are computed once, when the spec is built; a frobenius spec keeps
+    poly as the validator trims it, so that its records and hash do not
+    depend on trailing zeros."""
 
     test: str
     r: int = 0
@@ -104,12 +93,14 @@ class SearchSpec:
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         params = RecurrenceParams(self.r, self.s)
+        # A bad spec would otherwise scan to completion with nothing flagged.
         if self.test == "perrin-weak":
             delta = params.delta
+        elif self.test == "perrin-full":
+            delta = _require_squarefree(params.poly, 2)[1]
         else:
-            # A bad spec would otherwise scan to completion with nothing flagged.
-            poly = self.poly if self.test == "frobenius" else params.poly
-            delta = _require_squarefree(poly, 2)[1]
+            poly, delta = _require_squarefree(self.poly, 2)
+            object.__setattr__(self, "poly", tuple(poly))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "delta", delta)
 
@@ -192,33 +183,38 @@ def _odd_multiple_index(p: int, bound: int, first: int) -> int:
     return ((-(-bound // p) | 1) * p - first) >> 1
 
 
-def _mark_block(first: int, hi: int,
-                params: RecurrenceParams | None) -> tuple[bytearray, bool]:
-    """Marks for the odd n = first + 2*i <= hi (first odd, >= 3).
+def _mark_block(first: int, hi: int, params: RecurrenceParams | None) -> bytearray:
+    """Marks for the odd n = first + 2*i <= hi (first odd, >= 3): 0 for
+    a prime, 1 or 2 for a composite.
 
     marks[i] is 1 when n has an odd prime factor p < n with
-    p <= min(isqrt(hi), 10^4); the flag says whether that bound reached
-    isqrt(hi), so that every unmarked n is prime.  Then, unless params
-    is None, marks[i] is 2 when n = p*m (m >= 3 odd) for a prime p with
-    A(n) != r mod p: read from the period tables of perrin.residue_tables
-    for p <= 59, one slice per residue class that the table accepts
-    rather than one step per multiple, and for the sieve primes above 59
-    from A(m) mod p, walked by perrin.residue_walk over the m of the
-    block.  Last, when the sieve is exact, _mark_rough marks 2 each n
-    still marked 1 whose one prime factor P above the sieve bound has
-    A(n/P) != r mod P."""
+    p <= min(isqrt(hi), 10^4); where that bound falls short of
+    isqrt(hi), each n it leaves at 0 is put to is_prime_baseline, and
+    marked 1 when composite.  Then, unless params is None, marks[i] is 2
+    when n = p*m (m >= 3 odd) for a prime p with A(n) != r mod p: read
+    from the period tables of perrin.residue_tables for p <= 59, one
+    slice per residue class that the table accepts rather than one step
+    per multiple, and for the sieve primes above 59 from A(m) mod p,
+    walked by perrin.residue_walk over the m of the block.  Last, when
+    the sieve is exact, _mark_rough marks 2 each n still marked 1 whose
+    one prime factor P above the sieve bound has A(n/P) != r mod P."""
     size = len(range(first, hi + 1, 2))
     marks = bytearray(size)
     ones = memoryview(b"\x01" * size)
     root = math.isqrt(hi)
-    exact = root <= _TRIAL_LIMIT
     primes = _small_primes()[1:bisect.bisect_right(_small_primes(), root)]
     for p in primes:
         i = _odd_multiple_index(p, max(p * p, first), first)
         if i < size:
             marks[i::p] = ones[:len(range(i, size, p))]
+    exact = root <= _TRIAL_LIMIT
+    if not exact:
+        i = marks.find(0)
+        while i >= 0:
+            marks[i] = not is_prime_baseline(first + 2 * i)
+            i = marks.find(0, i + 1)
     if params is None:
-        return marks, exact
+        return marks
     tables = residue_tables(params)
     twos = memoryview(b"\x02" * size)
     for p, table in tables:
@@ -251,7 +247,7 @@ def _mark_block(first: int, hi: int,
                 i += p
     if exact:
         _mark_rough(marks, first, hi, params, primes)
-    return marks, exact
+    return marks
 
 
 def _mark_rough(marks: bytearray, first: int, hi: int, params: RecurrenceParams,
@@ -278,38 +274,27 @@ def _mark_rough(marks: bytearray, first: int, hi: int, params: RecurrenceParams,
 
 
 def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
+    """(index, records, outcome counts) of the block [lo, hi]: the n
+    that _mark_block leaves at 1 and spec.applies to run the test, and
+    each outcome is counted from the marks."""
     index, lo, hi, spec = args
     first = max(lo | 1, 3)
-    marks, exact = _mark_block(first, hi, spec.prefilter)
-    counts = dict.fromkeys(OUTCOMES, 0)
-    # The marks settle two outcomes without a visit: a 0 is a prime when
-    # the sieve is exact, and a 2 is rejected when the test refuses no
-    # composite.  Only the other n are visited, in order.
-    if exact:
-        counts["prime"] = marks.count(0)
-    if not spec.may_refuse:
-        counts["rejected:prefilter"] = marks.count(2)
-    visit = marks.translate(bytes.maketrans(b"\0\1\2", bytes((not exact, 1, spec.may_refuse))))
+    marks = _mark_block(first, hi, spec.prefilter)
+    if spec.may_refuse:
+        # Not applicable outranks the prefilter: such an n is marked 3.
+        for i, mark in enumerate(marks):
+            if mark and not spec.applies(first + 2 * i):
+                marks[i] = 3
     lines = []
-    i = visit.find(1)
+    i = marks.find(1)
     while i >= 0:
-        n = first + 2 * i
-        mark = marks[i]
-        if not mark and is_prime_baseline(n):
-            outcome = "prime"
-        elif not spec.applies(n):
-            outcome = "not-applicable"
-        elif mark == 2:
-            outcome = "rejected:prefilter"
-        else:
-            rec = _record_for(n, spec)
-            if rec is None:
-                outcome = "rejected:test"
-            else:
-                outcome = "flagged"
-                lines.append(json.dumps(rec, separators=(",", ":")))
-        counts[outcome] += 1
-        i = visit.find(1, i + 1)
+        rec = _record_for(first + 2 * i, spec)
+        if rec is not None:
+            lines.append(json.dumps(rec, separators=(",", ":")))
+        i = marks.find(1, i + 1)
+    counts = {"prime": marks.count(0), "not-applicable": marks.count(3),
+              "rejected:prefilter": marks.count(2),
+              "rejected:test": marks.count(1) - len(lines), "flagged": len(lines)}
     return index, lines, counts
 
 

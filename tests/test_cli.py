@@ -169,6 +169,24 @@ def test_search_bad_spec_exits_one_before_scanning(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, option", [
+    (["search", "--from", "3", "--to", "3000", "--test", "perrin-weak", "--rs", ""], "--rs"),
+    (["search", "--from", "3", "--to", "3000", "--test", "frobenius", "--poly", ""], "--poly"),
+    (["verify", "7", "--test", "perrin-full", "--rs="], "--rs"),
+    (["verify", "7", "--test", "frobenius", "--poly="], "--poly"),
+    (["verify", "7", "--test", "frobenius", "--poly=-1,,1"], "--poly"),
+])
+def test_empty_rs_or_poly_exits_one_naming_the_option(tmp_path, capsys, args, option):
+    # An empty value is an error, not a request for the default.
+    out = tmp_path / "x.jsonl"
+    rc = main([*args, "--out", str(out)] if args[0] == "search" else args)
+    assert rc == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert f"error: {option} wants" in streams.err
+    assert not out.exists()
+
+
 def test_search_resume_without_checkpoint_fails(tmp_path, capsys):
     rc = main([
         "search", "--from", "3", "--to", "100", "--test", "perrin-weak",
@@ -259,6 +277,22 @@ def test_construct_malformed_params_exit_one(tmp_path, capsys):
     bad4.write_text("y=3\nq_min 3\n")
     assert main(["construct", "--params", str(bad4)]) == 1
     assert "bad4.cfg:2: expected key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("t_max=2\nt_max=5\n", "job.cfg:8: key 't_max' is given twice"),
+    ("t_max=three\n", "job.cfg:7: t_max wants an integer, got 'three'"),
+    ("t_max=5\nbudget=1,2\n", "job.cfg:8: budget wants an integer, got '1,2'"),
+    ("t_max=5\npoly=-1,x\n", "job.cfg:8: poly wants comma-separated integers, got '-1,x'"),
+])
+def test_construct_params_file_value_errors_name_line_and_key(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("y=3\nq_min=3\nq_max=8\nk_min=1\nk_max=100\nx_bound=3000\n" + lines)
+    assert main(["construct", "--params", str(cfg)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert message in streams.err
+    assert "harvested" not in streams.err
 
 
 def test_construct_non_squarefree_poly_exits_one(tmp_path, capsys):

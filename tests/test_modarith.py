@@ -107,6 +107,17 @@ def test_lucas_layer_rejects_psi12():
     assert not is_prime_baseline(psi12)
 
 
+def test_strong_lucas_layer_below_ten_to_the_five():
+    # Every odd prime passes, and the composites that pass are the strong
+    # Lucas pseudoprimes of Selfridge's parameters below 10^5 (OEIS A217255).
+    flags = sieve(10**5)
+    odd = range(3, 10**5, 2)
+    passed = [n for n in odd if primesig.modarith._strong_lucas_probable_prime(n)]
+    assert [n for n in passed if flags[n]] == [n for n in odd if flags[n]]
+    assert [n for n in passed if not flags[n]] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
 def test_factorize_known_values():
     assert factorize(12).as_dict() == {2: 2, 3: 1}
     assert factorize(561).as_dict() == {3: 1, 11: 1, 17: 1}

@@ -15,7 +15,8 @@ from primesig import (
     sequence_term,
     signature,
 )
-from primesig.perrin import _recover_root, residue_tables, residue_walk
+from primesig import perrin
+from primesig.perrin import _recover_root, exact_terms, residue_tables, residue_walk
 
 from oracles import (recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping,
                      weak_perrin_by_stepping_many)
@@ -353,3 +354,17 @@ def test_residue_walk_and_frobenius_identity_match_stepping(rs):
                                                           for i in range(16)], (p, start)
     assert residue_walk(params, 61, 10**9, 3) == [sequence_term(params, 10**9 + 2 * i, 61)
                                                   for i in range(3)]
+
+
+def test_terms_of_a_huge_r_are_not_starved_by_the_bit_budget():
+    # A(k) has about k * 2^22 bits here, so the bit budget alone would keep
+    # A(0), ..., A(3); a signature reads A(0), ..., A(6).
+    params = RecurrenceParams((1 << (1 << 22)) + 5, 3)
+    try:
+        sig = signature(params, 1009, 1009)
+        assert len(exact_terms(params, 0)) == 7
+    finally:
+        perrin._exact_table.cache_clear()
+    r = params.r % 1009
+    assert sig.values == tuple(recurrence_term(r, 3, k, 1009)
+                               for k in (-1010, -1009, -1008, 1008, 1009, 1010))

@@ -103,6 +103,19 @@ def test_spec_refuses_a_root_zero():
             frobenius_test(91, poly)
 
 
+def test_spec_keeps_the_polynomial_as_validated():
+    # A zero leading coefficient is trimmed by the validator, and so it
+    # changes neither the record nor the checkpoint hash.
+    padded = SearchSpec("frobenius", poly=(-1, -1, 1, 0))
+    plain = SearchSpec("frobenius", poly=(-1, -1, 1))
+    assert padded == plain and padded.poly == (-1, -1, 1)
+    assert search._params_hash(3, 9999, padded, 4096) == search._params_hash(3, 9999, plain, 4096)
+    rec = search.record(5777, plain, plain.run(5777))
+    assert rec["poly"] == "-1,-1,1" and rec["verdict"] == "probable-prime"
+    assert search.record(5777, padded, padded.run(5777)) == rec
+    assert verify_number(5777, "frobenius", poly=(-1, -1, 1, 0), out=io.StringIO()) == rec
+
+
 def test_frobenius_scan_finds_known_pseudoprime(tmp_path):
     out, _, summary = run(
         tmp_path,
@@ -342,7 +355,8 @@ def test_only_weak_scan_records_carry_class():
 
 
 def block_outcomes(lo, hi, spec, monkeypatch):
-    # _scan_block's counts, plus the n it handed to is_prime_baseline.
+    # _scan_block's counts, plus the n that it (or its marking pass)
+    # handed to is_prime_baseline.
     asked = []
 
     def counting(n):
@@ -363,9 +377,8 @@ def block_outcomes(lo, hi, spec, monkeypatch):
 def test_sieve_is_exact_below_its_limit(lo, size, monkeypatch):
     hi = lo + size - 1
     first = max(lo | 1, 3)
-    marks, exact = search._mark_block(first, hi, None)
+    marks = search._mark_block(first, hi, None)
     flags = sieve(hi)
-    assert exact
     assert list(marks) == [0 if flags[n] else 1 for n in range(first, hi + 1, 2)]
     counts, asked = block_outcomes(lo, hi, SearchSpec("perrin-weak"), monkeypatch)
     assert asked == []
@@ -374,32 +387,44 @@ def test_sieve_is_exact_below_its_limit(lo, size, monkeypatch):
 
 def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
     # 10007 is the least prime above the sieve's 10^4, so its square has
-    # no sieve prime factor and only is_prime_baseline can reject it.
+    # no sieve prime factor and only is_prime_baseline can mark it.
     lo, hi = 10007**2 - 40, 10007**2 + 40
-    marks, exact = search._mark_block(lo | 1, hi, None)
-    assert not exact
     odd = range(lo | 1, hi + 1, 2)
-    assert all(not is_prime_baseline(n) for n, m in zip(odd, marks) if m)
-    counts, asked = block_outcomes(lo, hi, SearchSpec("perrin-weak"), monkeypatch)
-    assert asked == [n for n, m in zip(odd, marks) if not m]
-    assert 10007**2 in asked
+    flags = sieve(10**4)
+    unsieved = [n for n in odd if all(n % p for p in range(3, 10**4, 2) if flags[p])]
+    asked = []
+
+    def counting(n):
+        asked.append(n)
+        return is_prime_baseline(n)
+
+    monkeypatch.setattr(search, "is_prime_baseline", counting)
+    marks = search._mark_block(lo | 1, hi, None)
+    assert list(marks) == [0 if is_prime_baseline(n) else 1 for n in odd]
+    assert marks[(10007**2 - (lo | 1)) // 2] == 1
+    assert asked == unsieved and 10007**2 in asked
+    # The block loop reads primality from the marks alone.
+    asked.clear()
+    monkeypatch.setattr(search, "_mark_block", lambda *args: bytearray(marks))
+    _, _, counts = search._scan_block((0, lo, hi, SearchSpec("perrin-full")))
+    assert asked == []
     assert counts["prime"] == sum(map(is_prime_baseline, odd))
 
 
 def per_n_scan_block(lo, hi, spec):
-    # The block loop as it was before the marks settled outcomes: every
-    # odd n is visited and counted one at a time.
+    # The block loop one n at a time, as an oracle: primality comes from
+    # is_prime_baseline and applicability from spec.applies, and only
+    # the prefilter's 2s are read from the marks.
     first = max(lo | 1, 3)
-    marks, exact = search._mark_block(first, hi, spec.prefilter)
+    marks = search._mark_block(first, hi, spec.prefilter)
     counts = dict.fromkeys(OUTCOMES, 0)
     lines = []
     for i, n in enumerate(range(first, hi + 1, 2)):
-        mark = marks[i]
-        if not mark and (exact or is_prime_baseline(n)):
+        if is_prime_baseline(n):
             outcome = "prime"
         elif not spec.applies(n):
             outcome = "not-applicable"
-        elif mark == 2:
+        elif marks[i] == 2:
             outcome = "rejected:prefilter"
         else:
             rec = search._record_for(n, spec)
@@ -417,6 +442,7 @@ SCAN_WINDOWS = [
     (3, 2), (3, 3), (4, 2), (4, 3), (9, 2), (10, 3),
     (262_145, 1 << 14),  # holds 271441
     (10001**2 - 4096, 4096),  # the last window below 10001^2
+    (10001**2 - 2048, 4096),  # one across it: the sieve is not exact
     (10001**2, 4096),  # the first above it, where the sieve is not exact
 ]
 
@@ -424,6 +450,8 @@ SCAN_WINDOWS = [
 SCAN_SPECS = {
     "perrin-weak": SearchSpec("perrin-weak"),
     "perrin-full": SearchSpec("perrin-full"),
+    # delta = -175 = -5^2 * 7: the multiples of 5 and 7 are refused.
+    "full-m2-3": SearchSpec("perrin-full", -2, 3),
     "frobenius": SearchSpec("frobenius"),
     # (x - 1)^3: no composite is rejected and every one survives to the
     # test, which flags it; the smaller windows suffice.
@@ -453,16 +481,13 @@ def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
     monkeypatch.setattr(search, "_record_for", record_for)
     _, lines, counts = search._scan_block((0, lo, hi, spec))
     assert (lines, counts) == want
-    # Only the n the marks leave open are visited: no prime, no n twice,
-    # and for perrin-weak no n the prefilter rejected.  Only those that
-    # the test applies to and the prefilter kept reach it.
+    # applies is asked once about each composite when the test may refuse
+    # one, and never otherwise.  Only the n that the test applies to and
+    # the prefilter kept reach the test.
+    composites = sum(counts.values()) - counts["prime"]
     assert not any(map(is_prime_baseline, asked))
-    assert len(set(asked)) == len(asked)
+    assert len(set(asked)) == len(asked) == (composites if spec.may_refuse else 0)
     assert len(tested) == counts["rejected:test"] + counts["flagged"]
-    if not spec.may_refuse:
-        first = max(lo | 1, 3)
-        marks, _ = search._mark_block(first, hi, spec.prefilter)
-        assert all(marks[(n - first) // 2] != 2 for n in asked)
     if name == "weak-3-3":
         assert counts["flagged"] == sum(counts.values()) - counts["prime"]
 
@@ -482,8 +507,8 @@ def test_table_step_marks_what_the_tables_say(rs, lo, size, monkeypatch):
     params = RecurrenceParams(*rs)
     monkeypatch.setattr(search, "_mark_rough", lambda *args: None)
     monkeypatch.setattr(search, "residue_walk", lambda params, p, m, count: [params.r % p] * count)
-    marks, _ = search._mark_block(first, hi, params)
-    want, _ = search._mark_block(first, hi, None)
+    marks = search._mark_block(first, hi, params)
+    want = search._mark_block(first, hi, None)
     for p, table in residue_tables(params):
         m = max(3, -(-first // p))
         for n in range(p * (m | 1), hi + 1, 2 * p):
@@ -501,7 +526,7 @@ def test_prefilter_is_sound_and_misses_no_sieve_prime(rs, lo, monkeypatch):
     # is no longer exact.
     hi = lo + 16383
     params = RecurrenceParams(*rs)
-    marks, _ = search._mark_block(lo, hi, params)
+    marks = search._mark_block(lo, hi, params)
     odd = range(lo, hi + 1, 2)
     # Sound: every n marked 2 fails the plain weak test.
     rejected = [n for n, mark in zip(odd, marks) if mark == 2]
@@ -553,9 +578,9 @@ def test_rough_prime_step_marks_what_trial_division_predicts(rs, lo, monkeypatch
     params = RecurrenceParams(*rs)
     with monkeypatch.context() as mp:
         mp.setattr(search, "_mark_rough", lambda *args: None)
-        walked, _ = search._mark_block(lo, hi, params)
-    marks, exact = search._mark_block(lo, hi, params)
-    assert exact == (hi < 10001**2)
+        walked = search._mark_block(lo, hi, params)
+    marks = search._mark_block(lo, hi, params)
+    exact = hi < 10001**2
     flags = sieve(math.isqrt(hi))
     primes = [p for p in range(3, len(flags), 2) if flags[p]]
     want = bytearray(walked)
@@ -580,12 +605,12 @@ def test_exact_terms_stay_within_their_bit_budget():
     lo, hi = 10**8 - 4095, 10**8
     tracemalloc.start()
     try:
-        marks, exact = search._mark_block(lo, hi, params)
+        marks = search._mark_block(lo, hi, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     terms = exact_terms(params, 0)
-    assert exact and 2 in marks
+    assert 2 in marks
     assert 1000 < len(terms) < hi // math.isqrt(hi)
     assert sum(map(int.bit_length, terms)) <= EXACT_TERM_BITS
     assert peak < EXACT_TERM_BITS // 4
