@@ -7,8 +7,8 @@ holds, i.e. when n is a Carmichael number.
 
 carmichael_frobenius(n, f) additionally demands that every prime factor
 of n split completely for the monic polynomial f.  Degree-1 polynomials
-model the rationals, where splitting is vacuous and the notion collapses
-back to plain Carmichael.
+model the rationals: every prime splits, none is ramified (the
+discriminant is 1), and the notion collapses back to plain Carmichael.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .frobenius import splits_completely
 from .modarith import Factorization, factorize
-from .polymod import _require_monic, discriminant
+from .polymod import _discriminant, _require_monic
 
 __all__ = [
     "KorseltCertificate",
@@ -93,17 +93,15 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     splitting completely for the monic polynomial f?
 
     Each prime factor's evidence says whether it splits and whether it
-    is ramified (divides the discriminant of f); a ramified prime does
-    not split, so it yields a negative answer rather than an error.
+    is ramified (divides the discriminant of f), for every degree; a
+    ramified prime does not split, so it yields a negative answer rather
+    than an error, even for an f with a repeated root.
     """
     cs = _require_monic(coeffs, 1)
     cert = korselt(n)
     if not cert.validates:
         return CarmichaelFrobeniusResult(cert, (), cert.failure_reason)
-    if len(cs) == 2:
-        # Degree 1: the splitting condition is vacuous.
-        return CarmichaelFrobeniusResult(cert, (), None)
-    delta = discriminant(cs)
+    delta = _discriminant(tuple(cs))
     evidence = [SplittingEvidence(p, splits_completely(p, cs), ramified=delta % p == 0)
                 for p in cert.factorization.primes()]
     bad = [str(e.p) for e in evidence if not e.splits]

@@ -104,7 +104,7 @@ class ConstructionCertificate:
     k: int
     modulus: int  # the harvested product L
     korselt: KorseltCertificate
-    splitting: tuple[SplittingEvidence, ...]  # empty for degree 1, where it is vacuous
+    splitting: tuple[SplittingEvidence, ...]  # one per prime factor, every degree
     poly: tuple[int, ...]
 
     def to_record(self) -> dict[str, str]:

@@ -18,16 +18,15 @@ from a caller is monic of a given minimum degree, and _require_squarefree
 the one check that it also has no repeated root and no root 0.
 
 The discriminant lives here too.  It is computed exactly (not mod n) as
-the signed resultant of f and f', by Euclid's remainder recursion over
-the rationals, so callers can reduce it by any modulus they like
-afterwards.  It is memoised per polynomial, since a scan asks for the
-same one at every n.
+the signed resultant of f and f', by the subresultant pseudo-remainder
+sequence over the integers, so callers can reduce it by any modulus they
+like afterwards.  It is memoised per polynomial, since a scan asks for
+the same one at every n.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -70,15 +69,15 @@ def _require_monic(coeffs: Sequence[int], min_degree: int) -> list[int]:
 
 
 def _require_squarefree(coeffs: Sequence[int],
-                        min_degree: int) -> tuple[list[int], int | None]:
-    # _require_monic's coefficients and their discriminant (None for
-    # degree 1), or ValueError for a root 0 or a repeated root over the
+                        min_degree: int) -> tuple[list[int], int]:
+    # _require_monic's coefficients and their discriminant (1 for degree
+    # 1), or ValueError for a root 0 or a repeated root over the
     # integers: either makes f(0)*delta = 0, so that no Frobenius test
     # applies at any n.
     cs = _require_monic(coeffs, min_degree)
     if cs[0] == 0:
         raise ValueError(f"polynomial {tuple(coeffs)} has the root 0")
-    delta = _discriminant(tuple(cs)) if len(cs) > 2 else None
+    delta = _discriminant(tuple(cs))
     if delta == 0:
         raise ValueError(f"polynomial {tuple(coeffs)} is not squarefree")
     return cs, delta
@@ -214,8 +213,8 @@ def _compose_mod(f: list[int], g: list[int], n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Integer discriminant: the resultant of f and f' by Euclid's recursion
-# over Q (Cohen, A Course in Computational Algebraic Number Theory, 3.3).
+# Integer discriminant: the resultant of f and f' by the subresultant
+# sequence over Z (Cohen, A Course in Computational ANT, Algorithm 3.3.7).
 
 def discriminant(coeffs: Sequence[int]) -> int:
     """Discriminant of a monic integer polynomial of degree >= 2.
@@ -228,24 +227,25 @@ def discriminant(coeffs: Sequence[int]) -> int:
 
 @lru_cache(maxsize=64)
 def _discriminant(cs: tuple[int, ...]) -> int:
-    # cs is trimmed and monic of degree >= 2.  With r = f mod g,
-    # Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), down
-    # to Res(f, c) = c^(deg f) for a nonzero constant c.  A zero remainder
-    # is a common factor of f and f': a repeated root, discriminant 0.
+    # cs is trimmed and monic of degree >= 1.  Each step replaces (a, b)
+    # by (b, prem(a, b) / (g*h^delta)), delta = deg a - deg b, then sets
+    # g = lc(b) and h = g^delta / h^(delta - 1); each division is exact.
+    # A zero remainder is a repeated root: discriminant 0.
     d = len(cs) - 1
-    f = [Fraction(c) for c in cs]
-    g = [i * f[i] for i in range(1, d + 1)]
-    res = Fraction((-1) ** (d * (d - 1) // 2))
-    while len(g) > 1:
-        # r = f mod g, by long division over Q.
-        r, dg = f[:], len(g) - 1
-        for i in range(len(f) - 1, dg - 1, -1):
-            q = r[i] / g[-1]
-            for j, gj in enumerate(g):
-                r[i - dg + j] -= q * gj
-        r = _trim(r[:dg])
-        if not r:
+    a, b = list(cs), [i * cs[i] for i in range(1, d + 1)]
+    sign, g, h = (-1) ** (d * (d - 1) // 2), 1, 1
+    while len(b) > 1:
+        delta, db = len(a) - len(b), len(b) - 1
+        sign *= (-1) ** ((len(a) - 1) * db)
+        # r = lc(b)^(delta + 1) * a mod b, the pseudo-remainder.
+        r = a
+        for i in range(len(a) - 1, db - 1, -1):
+            r, q = [b[-1] * c for c in r[:i]], r[i]
+            for j in range(db):
+                r[i - db + j] -= q * b[j]
+        if not _trim(r):
             return 0
-        res *= (-1) ** ((len(f) - 1) * (len(g) - 1)) * g[-1] ** (len(f) - len(r))
-        f, g = g, r
-    return int(res * g[0] ** (len(f) - 1))
+        a, b = b, [c // (g * h ** delta) for c in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1)
+    return sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2)

@@ -66,8 +66,10 @@ OUTCOMES = ("prime", "not-applicable", "rejected:prefilter", "rejected:test", "f
 
 class CheckpointMismatch(RuntimeError):
     """The checkpoint cannot be resumed: it belongs to a different search
-    (parameter hash differs), carries no outcome counts (version 1), or
-    counts more bytes than the records file holds."""
+    (parameter hash differs), carries no outcome counts (version 1), is
+    malformed (not an object, or a block or byte count that is missing,
+    not an integer or out of range), or counts more bytes than the
+    records file holds."""
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,12 @@ class SearchSpec:
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         params = RecurrenceParams(self.r, self.s)
-        # A bad spec would otherwise scan to completion with nothing flagged.
-        if self.test == "perrin-weak":
-            delta = params.delta
-        elif self.test == "perrin-full":
-            delta = _require_squarefree(params.poly, 2)[1]
-        else:
+        # A bad spec would otherwise scan to completion with no meaningful flag.
+        if self.test == "frobenius":
             poly, delta = _require_squarefree(self.poly, 2)
             object.__setattr__(self, "poly", tuple(poly))
+        else:
+            delta = _require_squarefree(params.poly, 2)[1]
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "delta", delta)
 
@@ -323,6 +323,7 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
     count of each outcome (they add up to scanned) and the wall-clock
     duration.  resume continues a checkpointed run and requires matching
     parameters; resuming a finished run scans and writes nothing.
+    out_path may be neither checkpoint_path nor its side file.
     """
     if start < 3:
         start = 3
@@ -332,6 +333,11 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
         raise ValueError("block size must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if checkpoint_path is not None and os.path.realpath(out_path) in (
+            os.path.realpath(checkpoint_path), os.path.realpath(checkpoint_path + ".tmp")):
+        # Each checkpoint write would replace the records.
+        raise ValueError(f"the records file {out_path} (--out) must differ from the "
+                         f"checkpoint {checkpoint_path} (--checkpoint) and its side file")
     t0 = time.monotonic()
     digest = _params_hash(start, stop, spec, block_size)
     total_blocks = (stop - start) // block_size + 1
@@ -343,15 +349,21 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
             raise ValueError("resume requires a checkpoint path")
         with open(checkpoint_path, encoding="utf-8") as fh:
             state = json.load(fh)
+        if not isinstance(state, dict):
+            raise CheckpointMismatch("checkpoint is not a JSON object; refusing to resume")
         if state.get("hash") != digest:
             raise CheckpointMismatch(
                 "checkpoint was written by a different search; refusing to resume")
         if state.get("version") != 2 or set(state.get("outcomes", ())) != set(OUTCOMES):
             raise CheckpointMismatch(
                 "checkpoint carries no outcome counts; refusing to resume")
-        first_block = state["blocks_done"]
+        first_block, offset = state.get("blocks_done"), state.get("bytes_written")
+        if not (type(first_block) is int and 0 <= first_block <= total_blocks
+                and type(offset) is int and offset >= 0):
+            raise CheckpointMismatch(
+                f"checkpoint counts {first_block!r} of {total_blocks} blocks and "
+                f"{offset!r} bytes; refusing to resume")
         outcomes = {outcome: state["outcomes"][outcome] for outcome in OUTCOMES}
-        offset = state["bytes_written"]
         if os.path.getsize(out_path) < offset:
             raise CheckpointMismatch(
                 f"{out_path} is shorter than the {offset} bytes the checkpoint "

@@ -77,7 +77,9 @@ def test_carmichael_frobenius_degree_one_reduces_to_korselt():
         res = carmichael_frobenius(n, (-1, 1))
         assert bool(res), n
         assert res.korselt.validates
-        assert all(e.splits for e in res.splitting)
+        # x - 1 has discriminant 1: every prime factor splits, none ramified.
+        assert [e.p for e in res.splitting] == list(res.korselt.factorization.primes())
+        assert all(e.splits and not e.ramified for e in res.splitting)
     assert not carmichael_frobenius(15, (-1, 1))
     assert not carmichael_frobenius(25, (5, 1))
 

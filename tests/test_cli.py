@@ -160,6 +160,7 @@ def test_search_cli_roundtrip(tmp_path, capsys):
     ["--test", "perrin-full", "--poly=1,2,1"],  # the Perrin tests read --rs only
     ["--test", "frobenius", "--rs=5,7"],  # frobenius reads --poly only
     ["--test", "frobenius", "--poly=0,-1,0,1"],  # x^3 - x: the root 0
+    ["--test", "perrin-weak", "--rs=3,3"],  # (x - 1)^3
 ])
 def test_search_bad_spec_exits_one_before_scanning(tmp_path, capsys, args):
     out = tmp_path / "x.jsonl"
@@ -167,6 +168,16 @@ def test_search_bad_spec_exits_one_before_scanning(tmp_path, capsys, args):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_search_out_equal_to_checkpoint_exits_one(tmp_path, capsys):
+    path = tmp_path / "x.jsonl"
+    rc = main(["search", "--from", "3", "--to", "3000", "--test", "perrin-weak",
+               "--out", str(path), "--checkpoint", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "--out" in err and "--checkpoint" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("args, option", [

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from primesig import discriminant
 
 from primesig.polymod import (_compose_mod, _gcmd, _pdivmod_monic, _ppow_monic, _reduce,
-                              _require_monic, _xpow)
+                              _require_monic, _require_squarefree, _xpow)
 
 from naive_frobenius import _divmod as naive_divmod
 from naive_frobenius import _powmod as naive_powmod
@@ -207,6 +208,21 @@ def test_discriminant_known_values():
     # and -3^9 for the cyclotomic x^6 + x^3 + 1.
     assert discriminant((1, 1, 0, 0, 1)) == 229
     assert discriminant((1, 0, 0, 1, 0, 0, 1)) == -19683
+
+
+def test_discriminant_of_a_huge_perrin_cubic():
+    # x^3 - r*x^2 + s*x - 1 with r of 2^19 bits, against the closed form
+    # of a cubic's discriminant.  Over the rationals this took minutes.
+    r, s = 2 ** (2 ** 19) + 5, 3
+    t0 = time.perf_counter()
+    delta = discriminant((-1, s, -r, 1))
+    assert time.perf_counter() - t0 < 1
+    assert delta == r * r * s * s - 4 * s ** 3 - 4 * r ** 3 + 18 * r * s - 27
+
+
+def test_require_squarefree_gives_every_degree_its_discriminant():
+    assert _require_squarefree((-7, 1), 1) == ([-7, 1], 1)
+    assert _require_squarefree((-1, -1, 0, 1, 0), 2) == ([-1, -1, 0, 1], -23)
 
 
 def test_discriminant_rejects_degenerate_input():

@@ -84,13 +84,14 @@ def test_spec_rejects_unknown_test():
 
 
 def test_spec_rejects_repeated_roots():
-    # (x - 1)^3 and (x + 1)^2.  The weak test keeps the degenerate cubic
-    # (test_degenerate_cubic_passes_every_odd_composite).
-    with pytest.raises(ValueError, match="not squarefree"):
-        SearchSpec("perrin-full", 3, 3)
+    # (x - 1)^3, (x - 1)(x + 1)^2 and (x + 1)^2: every test refuses a
+    # zero discriminant, the weak test too, though it would run.
+    for test in ("perrin-weak", "perrin-full"):
+        for rs in ((3, 3), (-1, -1)):
+            with pytest.raises(ValueError, match="not squarefree"):
+                SearchSpec(test, *rs)
     with pytest.raises(ValueError, match="not squarefree"):
         SearchSpec("frobenius", poly=(1, 2, 1))
-    assert SearchSpec("perrin-weak", 3, 3).delta == 0
 
 
 def test_spec_refuses_a_root_zero():
@@ -453,15 +454,15 @@ SCAN_SPECS = {
     # delta = -175 = -5^2 * 7: the multiples of 5 and 7 are refused.
     "full-m2-3": SearchSpec("perrin-full", -2, 3),
     "frobenius": SearchSpec("frobenius"),
-    # (x - 1)^3: no composite is rejected and every one survives to the
-    # test, which flags it; the smaller windows suffice.
-    "weak-3-3": SearchSpec("perrin-weak", 3, 3),
+    # (x - 1)(x^2 + 1): no composite is rejected and every one survives
+    # to the test, which flags it; the smaller windows suffice.
+    "weak-1-1": SearchSpec("perrin-weak", 1, 1),
 }
 
 
 @pytest.mark.parametrize("name, lo, size", [
     (name, lo, size) for name in SCAN_SPECS for lo, size in SCAN_WINDOWS
-    if name != "weak-3-3" or size <= 1 << 14])
+    if name != "weak-1-1" or size <= 1 << 14])
 def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
     spec = SCAN_SPECS[name]
     hi = lo + size - 1
@@ -488,7 +489,7 @@ def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
     assert not any(map(is_prime_baseline, asked))
     assert len(set(asked)) == len(asked) == (composites if spec.may_refuse else 0)
     assert len(tested) == counts["rejected:test"] + counts["flagged"]
-    if name == "weak-3-3":
+    if name == "weak-1-1":
         assert counts["flagged"] == sum(counts.values()) - counts["prime"]
 
 
@@ -660,10 +661,11 @@ def test_prefiltered_scan_flags_what_the_plain_test_flags(tmp_path, test):
 
 
 def test_degenerate_cubic_passes_every_odd_composite(tmp_path):
-    # (r, s) = (3, 3) is (x - 1)^3: A(k) = 3 for all k, so every table
-    # accepts and the weak test flags every odd composite.
+    # (r, s) = (1, 1) is (x - 1)(x^2 + 1): A(k) = 1 + i^k + (-i)^k = 1 = r
+    # for every odd k, so every table accepts and the weak test flags
+    # every odd composite.
     out, _, summary = run(tmp_path, "deg", start=3, stop=300,
-                          spec=SearchSpec("perrin-weak", r=3, s=3))
+                          spec=SearchSpec("perrin-weak", r=1, s=1))
     flags = sieve(300)
     flagged = [int(json.loads(line)["n"]) for line in out.read_text().splitlines()]
     assert flagged == [n for n in range(3, 301, 2) if not flags[n]]
@@ -682,6 +684,45 @@ def test_resume_refuses_checkpoint_without_outcome_counts(tmp_path):
     with pytest.raises(CheckpointMismatch):
         run_range_search(3, 5000, spec, out_path=str(out), checkpoint_path=str(ckpt),
                          resume=True, block_size=1000)
+
+
+@pytest.mark.parametrize("side", ["", ".tmp"], ids=["checkpoint", "side-file"])
+def test_records_and_checkpoint_must_be_different_files(tmp_path, side):
+    # The same path, once spelled another way: each checkpoint write
+    # would otherwise replace the records, or rename its side file over
+    # them.
+    ckpt = tmp_path / "x.ckpt"
+    out = tmp_path / "sub" / ".." / f"x.ckpt{side}"
+    with pytest.raises(ValueError, match="must differ"):
+        run_range_search(3, 300000, SearchSpec("perrin-weak"), out_path=str(out),
+                         checkpoint_path=str(ckpt))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("change", [
+    lambda state: [state],
+    lambda state: {k: v for k, v in state.items() if k != "blocks_done"},
+    lambda state: state | {"blocks_done": "2"},
+    lambda state: state | {"blocks_done": 99},
+    lambda state: state | {"blocks_done": -1},
+    lambda state: state | {"bytes_written": -5},
+    lambda state: state | {"bytes_written": None},
+], ids=["list", "no-blocks", "text-blocks", "blocks-past-end", "negative-blocks",
+        "negative-bytes", "null-bytes"])
+def test_resume_refuses_malformed_checkpoint(tmp_path, change):
+    # A checkpoint of this very search, with its counts broken: refused
+    # before the records file, with a partial line to cut, is touched.
+    spec = SearchSpec("perrin-weak")
+    out, ckpt, state = run(tmp_path, "bad", start=3, stop=300000, spec=spec,
+                           killed_after=2)
+    ckpt.write_text(json.dumps(change(state)))
+    with open(out, "ab") as fh:
+        fh.write(b'{"n":"99')
+    before = out.read_bytes()
+    with pytest.raises(CheckpointMismatch):
+        run_range_search(3, 300000, spec, out_path=str(out), checkpoint_path=str(ckpt),
+                         resume=True)
+    assert out.read_bytes() == before
 
 
 def resume_with_hash_prefix(tmp_path, prefix):
