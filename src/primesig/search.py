@@ -23,11 +23,16 @@ pass marks 3 each composite it refuses.  The test runs only on the n
 still marked 1, and the outcome counts are those of the marks: 0 prime,
 3 not-applicable, 2 rejected:prefilter, 1 rejected:test or flagged.
 
-The range is cut into fixed-size blocks (default 2**16).  Workers scan
-blocks in parallel but the parent writes results strictly in block
-order, then advances the checkpoint atomically (fsync the records, write
+The range is cut into fixed-size blocks (default 2**16), dealt round
+robin: with procs = min(workers, blocks left), block j of a run goes to
+process j mod procs.  Process 0 is the parent, which scans its share
+inline; each other is a multiprocessing.Process that sends each of its
+results over a one-way pipe of its own, so one worker starts no process
+at all.  The parent takes the results strictly in block order, writes
+them, then advances the checkpoint atomically (fsync the records, write
 and fsync a side file, rename over), so a crash cannot leave a
-checkpoint that counts records the disk never got.  The checkpoint
+checkpoint that counts records the disk never got.  A worker that dies
+raises RuntimeError, naming it and its exit code.  The checkpoint
 stores a hash of the search parameters so a resume against different
 parameters fails loudly, the byte offset of the output file, to which
 the file is truncated on resume so a kill mid-block cannot leave
@@ -39,6 +44,7 @@ the end of its range or when it is killed.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import math
@@ -67,9 +73,10 @@ OUTCOMES = ("prime", "not-applicable", "rejected:prefilter", "rejected:test", "f
 class CheckpointMismatch(RuntimeError):
     """The checkpoint cannot be resumed: it belongs to a different search
     (parameter hash differs), carries no outcome counts (version 1), is
-    malformed (not an object, or a block or byte count that is missing,
-    not an integer or out of range), or counts more bytes than the
-    records file holds."""
+    malformed (not an object, a block or byte count that is missing, not
+    an integer or out of range, or outcome counts that are not integers
+    >= 0 adding up to the odd n of the blocks done), or counts more bytes
+    than the records file holds."""
 
 
 @dataclass(frozen=True)
@@ -298,6 +305,21 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
     return index, lines, counts
 
 
+def _block_args(start: int, stop: int, spec: SearchSpec, block_size: int,
+                index: int) -> tuple[int, int, int, SearchSpec]:
+    """_scan_block's argument for block index of the scan of [start, stop]."""
+    lo = start + index * block_size
+    return index, lo, min(lo + block_size - 1, stop), spec
+
+
+def _scan_share(conn, block, indices: range) -> None:
+    """A worker process's loop: scans the blocks of indices in order and
+    sends each _scan_block result over conn."""
+    for index in indices:
+        conn.send(_scan_block(block(index)))
+    conn.close()
+
+
 def _params_hash(start: int, stop: int, spec: SearchSpec, block_size: int) -> str:
     text = f"v3;from={start};to={stop};block={block_size};{spec.canonical()}"
     return hashlib.sha256(text.encode()).hexdigest()
@@ -321,9 +343,10 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
 
     Returns a summary dict with the scanned and flagged counts, the
     count of each outcome (they add up to scanned) and the wall-clock
-    duration.  resume continues a checkpointed run and requires matching
-    parameters; resuming a finished run scans and writes nothing.
-    out_path may be neither checkpoint_path nor its side file.
+    duration.  workers is the number of processes that scan, this one
+    among them.  resume continues a checkpointed run and requires
+    matching parameters; resuming a finished run scans and writes
+    nothing.  out_path may be neither checkpoint_path nor its side file.
     """
     if start < 3:
         start = 3
@@ -354,7 +377,9 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
         if state.get("hash") != digest:
             raise CheckpointMismatch(
                 "checkpoint was written by a different search; refusing to resume")
-        if state.get("version") != 2 or set(state.get("outcomes", ())) != set(OUTCOMES):
+        saved = state.get("outcomes")
+        if not (state.get("version") == 2 and isinstance(saved, dict)
+                and saved.keys() == set(OUTCOMES)):
             raise CheckpointMismatch(
                 "checkpoint carries no outcome counts; refusing to resume")
         first_block, offset = state.get("blocks_done"), state.get("bytes_written")
@@ -363,7 +388,14 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
             raise CheckpointMismatch(
                 f"checkpoint counts {first_block!r} of {total_blocks} blocks and "
                 f"{offset!r} bytes; refusing to resume")
-        outcomes = {outcome: state["outcomes"][outcome] for outcome in OUTCOMES}
+        # The odd n of [start, end), end just past the blocks done.
+        odd = min(start + first_block * block_size, stop + 1) // 2 - start // 2
+        if not (all(type(count) is int and count >= 0 for count in saved.values())
+                and sum(saved.values()) == odd):
+            raise CheckpointMismatch(
+                f"checkpoint outcome counts {saved!r} do not count the {odd} odd numbers "
+                f"of its {first_block} blocks; refusing to resume")
+        outcomes = {outcome: saved[outcome] for outcome in OUTCOMES}
         if os.path.getsize(out_path) < offset:
             raise CheckpointMismatch(
                 f"{out_path} is shorter than the {offset} bytes the checkpoint "
@@ -374,22 +406,35 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
     else:
         out = open(out_path, "wb")
 
-    def block_args():
-        for index in range(first_block, total_blocks):
-            lo = start + index * block_size
-            hi = min(lo + block_size - 1, stop)
-            yield index, lo, hi, spec
-
+    block = functools.partial(_block_args, start, stop, spec, block_size)
     done = first_block
+    # Block first_block + j goes to process j mod procs: 0 is this one,
+    # which scans its blocks inline; each other gets its own pipe.
     procs = min(workers, total_blocks - first_block)
-    pool = None
+    children = []
     try:
-        if procs > 1:
-            pool = multiprocessing.Pool(procs)
-            results = pool.imap(_scan_block, block_args(), chunksize=1)
-        else:
-            results = map(_scan_block, block_args())
-        for index, lines, counts in results:
+        for k in range(1, procs):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_scan_share, daemon=True,
+                args=(sender, block, range(first_block + k, total_blocks, procs)))
+            child.start()
+            # Only the child holds the sending end, so its death reads as EOF.
+            sender.close()
+            children.append((child, receiver))
+        for index in range(first_block, total_blocks):
+            k = (index - first_block) % procs
+            if k == 0:
+                _, lines, counts = _scan_block(block(index))
+            else:
+                child, receiver = children[k - 1]
+                try:
+                    _, lines, counts = receiver.recv()
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(
+                        f"scan worker {k} (pid {child.pid}) exited with code "
+                        f"{child.exitcode} before sending block {index}") from None
             payload = "".join(line + "\n" for line in lines).encode("utf-8")
             out.write(payload)
             out.flush()
@@ -411,9 +456,11 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
                     "outcomes": outcomes,
                 })
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        for child, _ in children:
+            child.terminate()
+        for child, receiver in children:
+            child.join()
+            receiver.close()
         out.close()
     return {
         "scanned": sum(outcomes.values()),

@@ -222,6 +222,19 @@ def test_search_resume_hash_mismatch_fails(tmp_path, capsys):
     assert "refusing to resume" in capsys.readouterr().err
 
 
+def test_search_resume_text_outcome_count_exits_one(tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    ckpt = tmp_path / "o.ckpt"
+    args = ["search", "--from", "3", "--to", "1000", "--test", "perrin-weak",
+            "--out", str(out), "--checkpoint", str(ckpt)]
+    assert main(args) == 0
+    state = json.loads(ckpt.read_text())
+    state["outcomes"]["prime"] = str(state["outcomes"]["prime"])
+    ckpt.write_text(json.dumps(state))
+    assert main([*args, "--resume"]) == 1
+    assert "refusing to resume" in capsys.readouterr().err
+
+
 def test_construct_preset_exit_codes(tmp_path, capsys):
     out = tmp_path / "certs.jsonl"
     assert main(["construct", "--preset", "classic-Q", "--out", str(out)]) == 0

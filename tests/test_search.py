@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import tracemalloc
 
 import pytest
@@ -145,10 +146,13 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         tmp_path, "w2", start=3, stop=6000, spec=spec, workers=2, block_size=512
     )
     out3, _, _ = run(
-        tmp_path, "w3", start=3, stop=6000, spec=spec, workers=8, block_size=512
+        tmp_path, "w3", start=3, stop=6000, spec=spec, workers=3, block_size=512
+    )
+    out8, _, _ = run(
+        tmp_path, "w8", start=3, stop=6000, spec=spec, workers=8, block_size=512
     )
     blob = out1.read_bytes()
-    assert blob == out2.read_bytes() == out3.read_bytes()
+    assert blob == out2.read_bytes() == out3.read_bytes() == out8.read_bytes()
     assert blob.count(b"\n") == blob.count(b"{")  # LF framed records
 
 
@@ -707,8 +711,17 @@ def test_records_and_checkpoint_must_be_different_files(tmp_path, side):
     lambda state: state | {"blocks_done": -1},
     lambda state: state | {"bytes_written": -5},
     lambda state: state | {"bytes_written": None},
+    lambda state: state | {"outcomes": list(state["outcomes"])},
+    lambda state: state | {"outcomes": state["outcomes"] | {"prime": "7"}},
+    lambda state: state | {"outcomes": state["outcomes"] | {"prime": True}},
+    # -1 flagged, one more rejected by the test: the sum still matches.
+    lambda state: state | {"outcomes": state["outcomes"] | {
+        "flagged": -1, "rejected:test": state["outcomes"]["rejected:test"] + 1}},
+    lambda state: state | {"outcomes": state["outcomes"] | {
+        "prime": state["outcomes"]["prime"] + 1}},
 ], ids=["list", "no-blocks", "text-blocks", "blocks-past-end", "negative-blocks",
-        "negative-bytes", "null-bytes"])
+        "negative-bytes", "null-bytes", "outcome-list", "text-count", "bool-count",
+        "negative-count", "count-sum"])
 def test_resume_refuses_malformed_checkpoint(tmp_path, change):
     # A checkpoint of this very search, with its counts broken: refused
     # before the records file, with a partial line to cut, is touched.
@@ -751,20 +764,73 @@ def test_resume_refuses_checkpoint_of_the_walk_only_prefilter(tmp_path):
     assert resume_with_hash_prefix(tmp_path, "v3")["completed"]
 
 
-def test_pool_has_no_idle_workers(tmp_path, monkeypatch):
-    sizes = []
-    real_pool = search.multiprocessing.Pool
+def test_scan_starts_no_idle_workers(tmp_path, monkeypatch):
+    # A run starts one process fewer than it has workers, and never more
+    # than its blocks left: the parent scans a share of its own.
+    started = []
+    real_process = search.multiprocessing.Process
 
-    def pool(processes):
-        sizes.append(processes)
-        return real_pool(processes)
+    def process(*args, **kwargs):
+        started[-1] += 1
+        return real_process(*args, **kwargs)
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", pool)
+    def counted(scan, *args, **kwargs):
+        started.append(0)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(search.multiprocessing, "Process", process)
     spec = SearchSpec("perrin-weak")
-    run(tmp_path, "one", start=3, stop=900, spec=spec, workers=8, block_size=1000)
-    run(tmp_path, "three", start=3, stop=2900, spec=spec, workers=8, block_size=1000)
-    out, ckpt, _ = run(tmp_path, "cut", start=3, stop=4900, spec=spec, workers=2,
-                       block_size=1000, killed_after=3)
-    run_range_search(3, 4900, spec, workers=8, out_path=str(out),
-                     checkpoint_path=str(ckpt), resume=True, block_size=1000)
-    assert sizes == [3, 2, 2]
+    counted(run, tmp_path, "one", start=3, stop=900, spec=spec, workers=8, block_size=1000)
+    counted(run, tmp_path, "three", start=3, stop=2900, spec=spec, workers=8, block_size=1000)
+    out, ckpt, _ = counted(run, tmp_path, "cut", start=3, stop=4900, spec=spec, workers=2,
+                           block_size=1000, killed_after=3)
+    counted(run_range_search, 3, 4900, spec, workers=8, out_path=str(out),
+            checkpoint_path=str(ckpt), resume=True, block_size=1000)
+    assert started == [0, 2, 1, 1]
+
+    # Killed after an odd number of blocks under 2 workers and resumed
+    # under 3, which do not divide the 11 blocks left: the parent's share
+    # shifts, and the bytes and counts stay those of one worker.
+    started.clear()
+    spec = SearchSpec("frobenius", poly=(1, 0, 1))
+    ref, _, whole = counted(run, tmp_path, "ref", start=3, stop=8000, spec=spec, workers=1,
+                            block_size=500)
+    out, ckpt, _ = counted(run, tmp_path, "shift", start=3, stop=8000, spec=spec, workers=2,
+                           block_size=500, killed_after=5)
+    resumed = counted(run_range_search, 3, 8000, spec, workers=3, out_path=str(out),
+                      checkpoint_path=str(ckpt), resume=True, block_size=500)
+    assert started == [0, 1, 2]
+    assert ref.read_bytes() and out.read_bytes() == ref.read_bytes()
+    assert resumed["outcomes"] == whole["outcomes"]
+
+
+class Broken(Exception):
+    """A block scan that fails."""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched _scan_block reaches a worker only when it is forked")
+@pytest.mark.parametrize("failing, error, match", [
+    (3, RuntimeError, r"worker 1 \(pid \d+\) exited with code 1 before sending block 3"),
+    (4, Broken, "block 4"),
+], ids=["worker", "parent"])
+def test_failed_block_stops_the_scan_and_its_workers(tmp_path, monkeypatch, failing, error,
+                                                    match):
+    # Under 2 workers the parent scans the even blocks and one child the
+    # odd ones.  A child's failure kills it, so its pipe ends early.
+    real_scan_block = search._scan_block
+
+    def scan_block(args):
+        if args[0] == failing:
+            raise Broken(f"block {failing}")
+        return real_scan_block(args)
+
+    spec = SearchSpec("frobenius", poly=(1, 0, 1))
+    _, _, want = run(tmp_path, "ref", start=3, stop=8000, spec=spec, block_size=500,
+                     killed_after=failing)
+    monkeypatch.setattr(search, "_scan_block", scan_block)
+    with pytest.raises(error, match=match):
+        run(tmp_path, "cut", start=3, stop=8000, spec=spec, workers=2, block_size=500)
+    assert multiprocessing.active_children() == []
+    # The checkpoint counts the blocks before the failure, and no other.
+    assert json.loads((tmp_path / "cut.ckpt").read_text()) == want
