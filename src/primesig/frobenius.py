@@ -190,14 +190,11 @@ def splits_completely(p: int, coeffs) -> bool:
     """True iff f factors into distinct linear pieces mod the prime p.
 
     Requires p certified prime by the baseline oracle.  x^p - x is the
-    squarefree product of all x - a over F_p, so gcd(x^p - x, f mod p)
-    has degree deg f exactly when f does: a ramified p (a repeated root)
-    gives False and degree 1 gives True, with no special case.
+    squarefree product of all x - a over F_p, so f divides it, that is
+    x^p = x mod (p, f), exactly when f does: a ramified p (a repeated
+    root) gives False and degree 1 gives True, with no special case.
     """
     if not is_prime_baseline(p):
         raise ValueError(f"{p} is not prime")
     f = _reduce(_require_monic(coeffs, 1), p)
-    out = _gcmd_minus_x(_xpow(p, f, p), f, p)
-    if out[0] != "found":
-        raise RuntimeError(f"gcmd failed over the prime modulus {p}")
-    return len(out[1]) == len(f)
+    return _xpow(p, f, p) == _pdivmod_monic([0, 1], f, p)[1]

@@ -19,11 +19,12 @@ whose signature mod n looks prime-like is sorted into one of three
 shapes (S, I, Q) matching the three splitting types of the cubic.
 
 For the range scans' prefilter, a cheap necessary condition that
-rejects most composites before either test runs: residue_tables gives
-A(k) mod p over one period for each odd prime p <= 59, and residue_walk
-gives A(m), A(m + 2), ... mod any larger prime p, the residues of the
-odd multiples p*m, since A(p*m) = A(m) mod p; exact_terms gives
-A(0), A(1), ... as integers, read mod the one large prime factor of n.
+rejects most composites before either test runs: since A(p*m) = A(m)
+mod p, the scans keep an odd multiple p*m of a prime p only where
+A(m) = r mod p.  residue_tables gives those m over one period for each
+odd prime p <= 59, residue_walk gives A(m), A(m + 2), ... mod any larger
+prime p, and exact_terms gives A(0), A(1), ... as integers, read mod the
+one large prime factor of n.
 """
 
 from __future__ import annotations
@@ -152,30 +153,29 @@ _TABLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
 @functools.lru_cache(maxsize=16)
-def residue_tables(params: RecurrenceParams) -> tuple[tuple[int, bytes], ...]:
-    """(p, table) for each odd prime p <= 59, where table[k] is 1 iff
-    A(k) = r mod p, for k over one period of A mod p.
+def residue_tables(params: RecurrenceParams) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """{p: (T, hits)} for each odd prime p <= 59, where T is the period
+    of A mod p and hits are the k < T with A(k) = r mod p.
 
     A(k) mod p is purely periodic: the cubic's constant term is -1, so
     the step (A(k), A(k+1), A(k+2)) -> (A(k+1), A(k+2), A(k+3)) is
     invertible mod p and the window comes back to (A(0), A(1), A(2)).
-    So A(k) = r mod p iff table[k % len(table)].  Both test modes pass
-    only n with A(n) = r mod n (full mode through signature position 5),
-    hence with A(n) = r mod p for every prime p | n.
+    So A(k) = r mod p iff k % T is in hits.  The dict is shared; a
+    caller reads, never writes it.
     """
-    out = []
+    out = {}
     for p in _TABLE_PRIMES:
         start = tuple(a % p for a in exact_terms(params, 3)[:3])
         r, s = params.r % p, params.s % p
         a, b, c = start
-        table = bytearray()
+        period = []
         while True:
-            table.append(a == r)
+            period.append(a)
             a, b, c = b, c, (r * c - s * b + a) % p
             if (a, b, c) == start:
                 break
-        out.append((p, bytes(table)))
-    return tuple(out)
+        out[p] = (len(period), tuple(k for k, a in enumerate(period) if a == r))
+    return out
 
 
 def residue_walk(params: RecurrenceParams, p: int, m: int, count: int) -> list[int]:

@@ -17,11 +17,14 @@ Each block gets one marking pass (_mark_block), then the test.  The pass
 marks each odd n of the block 0 when it is prime and 1 when it is
 composite.  For the two Perrin tests (SearchSpec.prefilter) it then marks
 2 composites that cannot pass, each with a prime factor p such that
-A(n) != r mod p; Frobenius scans get the sieve alone.  For a test that
-does not apply to every odd composite (SearchSpec.may_refuse), one more
-pass marks 3 each composite it refuses.  The test runs only on the n
-still marked 1, and the outcome counts are those of the marks: 0 prime,
-3 not-applicable, 2 rejected:prefilter, 1 rejected:test or flagged.
+A(n) != r mod p, by one rule for each p: since A(p*m) = A(m) mod p, all
+odd multiples p*m are marked 2, then the classes of m with
+A(m) = r mod p get their marks back.  Frobenius scans get the sieve
+alone.  For a test that does not apply to every odd composite
+(SearchSpec.may_refuse), one more pass marks 3 each composite it
+refuses.  The test runs only on the n still marked 1, and the outcome
+counts are those of the marks: 0 prime, 3 not-applicable,
+2 rejected:prefilter, 1 rejected:test or flagged.
 
 The range is cut into fixed-size blocks (default 2**16), dealt round
 robin: with procs = min(workers, blocks left), block j of a run goes to
@@ -197,14 +200,15 @@ def _mark_block(first: int, hi: int, params: RecurrenceParams | None) -> bytearr
     marks[i] is 1 when n has an odd prime factor p < n with
     p <= min(isqrt(hi), 10^4); where that bound falls short of
     isqrt(hi), each n it leaves at 0 is put to is_prime_baseline, and
-    marked 1 when composite.  Then, unless params is None, marks[i] is 2
-    when n = p*m (m >= 3 odd) for a prime p with A(n) != r mod p: read
-    from the period tables of perrin.residue_tables for p <= 59, one
-    slice per residue class that the table accepts rather than one step
-    per multiple, and for the sieve primes above 59 from A(m) mod p,
-    walked by perrin.residue_walk over the m of the block.  Last, when
-    the sieve is exact, _mark_rough marks 2 each n still marked 1 whose
-    one prime factor P above the sieve bound has A(n/P) != r mod P."""
+    marked 1 when composite.  Then, unless params is None, one rule
+    serves every odd prime p up to max(isqrt(hi), 59), capped at 10^4:
+    since A(p*m) = A(m) mod p, each odd multiple n = p*m (m >= 3) is
+    marked 2 by one slice, and each class of m with A(m) = r mod p gets
+    its marks back by one strided slice.  Those classes come from the
+    period tables of perrin.residue_tables for p <= 59 and from
+    perrin.residue_walk over the m of the block above.  Last, when the
+    sieve is exact, _mark_rough marks 2 each n still marked 1 whose one
+    prime factor P above the sieve bound has A(n/P) != r mod P."""
     size = len(range(first, hi + 1, 2))
     marks = bytearray(size)
     ones = memoryview(b"\x01" * size)
@@ -224,34 +228,34 @@ def _mark_block(first: int, hi: int, params: RecurrenceParams | None) -> bytearr
         return marks
     tables = residue_tables(params)
     twos = memoryview(b"\x02" * size)
-    for p, table in tables:
+    for p in _small_primes()[1:bisect.bisect_right(_small_primes(), max(root, *tables))]:
         i = _odd_multiple_index(p, max(3 * p, first), first)
         if i >= size:
             continue
-        # The odd multiples n = first + 2*i + 2*p*k sit at i + p*k, and
-        # n mod T repeats every cycle of them.  All are marked 2, then the
-        # classes k mod cycle whose table entry is 1 get their marks back.
-        g = math.gcd(2 * p, len(table))
-        cycle = len(table) // g
-        inverse = pow(2 * p // g, -1, cycle)
-        n = first + 2 * i
-        saved = marks[i::p]
-        marks[i::p] = twos[:len(saved)]
-        t = table.find(1)
-        while t >= 0:
-            if (t - n) % g == 0:
-                k = (t - n) // g * inverse % cycle
-                marks[i + p * k::p * cycle] = saved[k::cycle]
-            t = table.find(1, t + 1)
-    # The tables hold the least odd primes; the walk takes the rest.
-    for p in primes[len(tables):]:
-        i = _odd_multiple_index(p, max(3 * p, first), first)
-        if i < size:
+        # The odd multiple n = p*m, m = m0 + 2*j, sits at i + p*j, and each
+        # hit j < cycle keeps the marks of its class mod cycle.  For a
+        # table, m0 + 2*j = k mod period with g | k - m0 is one class of j
+        # mod period / g; a walk has one j per class.
+        m0 = (first + 2 * i) // p
+        count = len(range(i, size, p))
+        if p in tables:
+            period, residues = tables[p]
+            g = math.gcd(2, period)
+            cycle = period // g
+            inverse = pow(2 // g, -1, cycle)
+            hits = [(k - m0) // g * inverse % cycle for k in residues if (k - m0) % g == 0]
+        else:
+            walk = residue_walk(params, p, m0, count)
             r = params.r % p
-            for a in residue_walk(params, p, (first + 2 * i) // p, len(range(i, size, p))):
-                if a != r:
-                    marks[i] = 2
-                i += p
+            cycle = count
+            hits, j = [], -1
+            for _ in range(walk.count(r)):
+                j = walk.index(r, j + 1)
+                hits.append(j)
+        saved = marks[i::p]
+        marks[i::p] = twos[:count]
+        for j in hits:
+            marks[i + p * j::p * cycle] = saved[j::cycle]
     if exact:
         _mark_rough(marks, first, hi, params, primes)
     return marks
@@ -280,11 +284,13 @@ def _mark_rough(marks: bytearray, first: int, hi: int, params: RecurrenceParams,
         i = marks.find(1, i + 1)
 
 
-def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
-    """(index, records, outcome counts) of the block [lo, hi]: the n
-    that _mark_block leaves at 1 and spec.applies to run the test, and
-    each outcome is counted from the marks."""
-    index, lo, hi, spec = args
+def _scan_block(start: int, stop: int, spec: SearchSpec, block_size: int,
+                index: int) -> tuple[list[str], dict[str, int]]:
+    """(records, outcome counts) of block index of the scan of
+    [start, stop]: the n that _mark_block leaves at 1 and spec.applies
+    to run the test, and each outcome is counted from the marks."""
+    lo = start + index * block_size
+    hi = min(lo + block_size - 1, stop)
     first = max(lo | 1, 3)
     marks = _mark_block(first, hi, spec.prefilter)
     if spec.may_refuse:
@@ -302,21 +308,14 @@ def _scan_block(args) -> tuple[int, list[str], dict[str, int]]:
     counts = {"prime": marks.count(0), "not-applicable": marks.count(3),
               "rejected:prefilter": marks.count(2),
               "rejected:test": marks.count(1) - len(lines), "flagged": len(lines)}
-    return index, lines, counts
+    return lines, counts
 
 
-def _block_args(start: int, stop: int, spec: SearchSpec, block_size: int,
-                index: int) -> tuple[int, int, int, SearchSpec]:
-    """_scan_block's argument for block index of the scan of [start, stop]."""
-    lo = start + index * block_size
-    return index, lo, min(lo + block_size - 1, stop), spec
-
-
-def _scan_share(conn, block, indices: range) -> None:
+def _scan_share(conn, scan, indices: range) -> None:
     """A worker process's loop: scans the blocks of indices in order and
-    sends each _scan_block result over conn."""
+    sends each result of scan(index) over conn."""
     for index in indices:
-        conn.send(_scan_block(block(index)))
+        conn.send(scan(index))
     conn.close()
 
 
@@ -406,7 +405,7 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
     else:
         out = open(out_path, "wb")
 
-    block = functools.partial(_block_args, start, stop, spec, block_size)
+    scan = functools.partial(_scan_block, start, stop, spec, block_size)
     done = first_block
     # Block first_block + j goes to process j mod procs: 0 is this one,
     # which scans its blocks inline; each other gets its own pipe.
@@ -417,7 +416,7 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_scan_share, daemon=True,
-                args=(sender, block, range(first_block + k, total_blocks, procs)))
+                args=(sender, scan, range(first_block + k, total_blocks, procs)))
             child.start()
             # Only the child holds the sending end, so its death reads as EOF.
             sender.close()
@@ -425,11 +424,11 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
         for index in range(first_block, total_blocks):
             k = (index - first_block) % procs
             if k == 0:
-                _, lines, counts = _scan_block(block(index))
+                lines, counts = scan(index)
             else:
                 child, receiver = children[k - 1]
                 try:
-                    _, lines, counts = receiver.recv()
+                    lines, counts = receiver.recv()
                 except EOFError:
                     child.join()
                     raise RuntimeError(

@@ -198,12 +198,20 @@ def test_splits_completely_ramified_or_composite():
 
 
 def test_splits_completely_matches_root_counting():
+    # f splits into distinct linear factors mod p iff it has deg f
+    # distinct roots there, ramified primes (23 for CUBIC) included.
     flags = sieve(500)
-    for p in range(3, 500, 2):
-        if not flags[p] or p == 23:
-            continue
-        roots = sum(1 for a in range(p) if (a**3 - a - 1) % p == 0)
-        assert splits_completely(p, CUBIC) == (roots == 3), p
+    for coeffs in (CUBIC,
+                   (-3, 1),  # degree 1: always
+                   (1, 0, 1),  # x^2 + 1: when p = 1 mod 4
+                   (-1, 0, 0, 0, 1),  # x^4 - 1: when p = 1 mod 4, never at p = 2
+                   (2, -3, 0, 1)):  # (x - 1)^2 (x + 2): never, the root 1 repeats
+        for p in range(2, 500):
+            if not flags[p]:
+                continue
+            roots = sum(1 for a in range(p)
+                        if sum(c * a**i for i, c in enumerate(coeffs)) % p == 0)
+            assert splits_completely(p, coeffs) == (roots == len(coeffs) - 1), (p, coeffs)
 
 
 def test_jacobi_stage_rejects():

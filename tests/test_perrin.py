@@ -324,14 +324,14 @@ def test_residue_tables_match_sequence_terms(rs):
     tables = residue_tables(params)
     # Every odd prime up to 59, including 23, which divides the Perrin
     # discriminant.
-    assert [p for p, _ in tables] == [p for p in range(3, 60) if sieve(59)[p]]
-    for p, table in tables:
-        period = len(table)
+    assert list(tables) == [p for p in range(3, 60) if sieve(59)[p]]
+    for p, (period, hits) in tables.items():
+        assert all(0 <= k < period for k in hits)
         for k in range(3 * period):
-            assert table[k % period] == (sequence_term(params, k, p) == params.r % p), (p, k)
+            assert (k % period in hits) == (sequence_term(params, k, p) == params.r % p), (p, k)
     if rs == (3, 3):
         # (x - 1)^3: A(k) = 3 for every k, so nothing is ever rejected.
-        assert all(table == b"\x01" for _, table in tables)
+        assert all(table == (1, (0,)) for table in tables.values())
 
 
 @pytest.mark.parametrize("rs", [(0, -1), (1, -1), (-2, 3), (3, 3), (-2, 2)])

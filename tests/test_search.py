@@ -3,6 +3,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import tracemalloc
 
 import pytest
@@ -369,7 +370,7 @@ def block_outcomes(lo, hi, spec, monkeypatch):
         return is_prime_baseline(n)
 
     monkeypatch.setattr(search, "is_prime_baseline", counting)
-    _, _, counts = search._scan_block((0, lo, hi, spec))
+    _, counts = search._scan_block(lo, hi, spec, hi - lo + 1, 0)
     assert sum(counts.values()) == len(range(max(lo | 1, 3), hi + 1, 2))
     return counts, asked
 
@@ -411,7 +412,7 @@ def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
     # The block loop reads primality from the marks alone.
     asked.clear()
     monkeypatch.setattr(search, "_mark_block", lambda *args: bytearray(marks))
-    _, _, counts = search._scan_block((0, lo, hi, SearchSpec("perrin-full")))
+    _, counts = search._scan_block(lo, hi, SearchSpec("perrin-full"), hi - lo + 1, 0)
     assert asked == []
     assert counts["prime"] == sum(map(is_prime_baseline, odd))
 
@@ -484,7 +485,7 @@ def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
 
     monkeypatch.setattr(SearchSpec, "applies", applies)
     monkeypatch.setattr(search, "_record_for", record_for)
-    _, lines, counts = search._scan_block((0, lo, hi, spec))
+    lines, counts = search._scan_block(lo, hi, spec, hi - lo + 1, 0)
     assert (lines, counts) == want
     # applies is asked once about each composite when the test may refuse
     # one, and never otherwise.  Only the n that the test applies to and
@@ -503,10 +504,11 @@ def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
     (3 * 2**16, 1 << 16), (10**8 - 2**16 + 1, 1 << 16),
 ])
 def test_table_step_marks_what_the_tables_say(rs, lo, size, monkeypatch):
-    # The table step marks 2 by slices; here it is checked against the
-    # per-n rule: an odd multiple n = p*m (m >= 3) of a table prime p is
-    # marked 2 when table[n % T] is 0.  The windows of 40 and 64 hold
-    # fewer multiples of most table primes than one cycle of n mod T.
+    # The table primes mark 2 by slices; here they are checked against
+    # the per-n rule: an odd multiple n = p*m (m >= 3) of a table prime p
+    # is marked 2 when n % T is not among the table's hits.  The windows
+    # of 40 and 64 hold fewer multiples of most table primes than one
+    # cycle of n mod T.
     hi = lo + size - 1
     first = max(lo | 1, 3)
     params = RecurrenceParams(*rs)
@@ -514,10 +516,10 @@ def test_table_step_marks_what_the_tables_say(rs, lo, size, monkeypatch):
     monkeypatch.setattr(search, "residue_walk", lambda params, p, m, count: [params.r % p] * count)
     marks = search._mark_block(first, hi, params)
     want = search._mark_block(first, hi, None)
-    for p, table in residue_tables(params):
+    for p, (period, hits) in residue_tables(params).items():
         m = max(3, -(-first // p))
         for n in range(p * (m | 1), hi + 1, 2 * p):
-            if not table[n % len(table)]:
+            if n % period not in hits:
                 want[(n - first) >> 1] = 2
     assert marks == want
     if size > 100:
@@ -820,10 +822,10 @@ def test_failed_block_stops_the_scan_and_its_workers(tmp_path, monkeypatch, fail
     # odd ones.  A child's failure kills it, so its pipe ends early.
     real_scan_block = search._scan_block
 
-    def scan_block(args):
-        if args[0] == failing:
+    def scan_block(start, stop, spec, block_size, index):
+        if index == failing:
             raise Broken(f"block {failing}")
-        return real_scan_block(args)
+        return real_scan_block(start, stop, spec, block_size, index)
 
     spec = SearchSpec("frobenius", poly=(1, 0, 1))
     _, _, want = run(tmp_path, "ref", start=3, stop=8000, spec=spec, block_size=500,
@@ -834,3 +836,41 @@ def test_failed_block_stops_the_scan_and_its_workers(tmp_path, monkeypatch, fail
     assert multiprocessing.active_children() == []
     # The checkpoint counts the blocks before the failure, and no other.
     assert json.loads((tmp_path / "cut.ckpt").read_text()) == want
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched _scan_block reaches a worker only when it is forked")
+def test_every_block_is_scanned_exactly_once(tmp_path, monkeypatch):
+    # Each scanned block appends its index to a log, in one O_APPEND
+    # write, so the lines of forked workers do not interleave.
+    real_scan_block = search._scan_block
+    log = tmp_path / "blocks.log"
+
+    def scan_block(start, stop, spec, block_size, index):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{index}\n".encode())
+        finally:
+            os.close(fd)
+        return real_scan_block(start, stop, spec, block_size, index)
+
+    def scanned():
+        indices = sorted(map(int, log.read_text().split()))
+        log.unlink()
+        return indices
+
+    monkeypatch.setattr(search, "_scan_block", scan_block)
+    spec = SearchSpec("perrin-weak")
+    # 16 blocks, which 3 workers do not divide.
+    for workers in (1, 2, 3):
+        run(tmp_path, f"w{workers}", start=3, stop=8000, spec=spec, workers=workers,
+            block_size=500)
+        assert scanned() == list(range(16)), workers
+    # Killed after 5 blocks under 2 workers and resumed under 3, so that
+    # the parent's share shifts: the resumed run scans each block left once.
+    out, ckpt, _ = run(tmp_path, "cut", start=3, stop=8000, spec=spec, workers=2,
+                       block_size=500, killed_after=5)
+    log.unlink()
+    run_range_search(3, 8000, spec, workers=3, out_path=str(out), checkpoint_path=str(ckpt),
+                     resume=True, block_size=500)
+    assert scanned() == list(range(5, 16))
