@@ -1,13 +1,15 @@
 """Exact integer arithmetic: Jacobi symbols, primality, and deterministic
 small-scale factorization.
 
-factorize runs trial division to 10**4, then Miller's n - 1 split (a few
-modular powers, which break up Carmichael numbers), then Brent rho on what
-is left; only the Brent steps count against its budget.
+factorize takes out the primes below 10**4 by one gcd with their product,
+then walks Miller's n - 1 chains (a few modular powers, which break up
+Carmichael numbers), then runs Brent rho on what is left; only the Brent
+steps count against its budget.  Any piece left below 10**8 is prime.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +37,11 @@ def _small_primes() -> list[int]:
                 sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
         _small_primes_cache = [i for i in range(limit + 1) if sieve[i]]
     return _small_primes_cache
+
+
+@functools.cache
+def _primorial() -> int:
+    return math.prod(_small_primes())  # 14277 bits
 
 
 class BudgetExceededError(RuntimeError):
@@ -240,69 +247,79 @@ def _rho_split(n: int, budget: list[int]) -> int | None:
     return None
 
 
-# Bases for the n - 1 split: the first eight primes.  Trial division has
+# Bases for the n - 1 chains: the first eight primes.  The gcd step has
 # removed every factor below 10**4, so each base is a unit mod the cofactor.
 _SPLIT_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
+_PRIME_BELOW = _TRIAL_LIMIT * _TRIAL_LIMIT
 
 
-def _miller_split(m: int, e: int) -> int | None:
+def _miller_split(m: int, e: int) -> list[int]:
     # Miller's reduction (J. Comput. Syst. Sci. 13, 1976): with e = d*2^s,
-    # d odd, walk x = a^d, a^(2d), ..., a^e mod m.  When e is a multiple of
-    # lambda(m), as for every divisor m of a Carmichael n and e = n - 1, then
-    # for at least half of all bases a some x - 1 vanishes mod one prime
-    # factor of m but not mod another, and the gcd splits m.
-    # Fixed work: at most len(_SPLIT_BASES) powers and s squarings each.
+    # d odd, walk the whole chain x = a^d, a^(2d), ..., a^e for each base a.
+    # When e is a multiple of lambda(m), as for every divisor m of a
+    # Carmichael n and e = n - 1, then for at least half of all bases some
+    # x - 1 vanishes mod one prime factor of m but not mod another.  Each
+    # gcd(x - 1, m) refines every piece, so one power (mod the pieces still
+    # at or above 10**8) serves them all, until all are below 10**8.
     s = (e & -e).bit_length() - 1
     d = e >> s
+    pieces = [m]
     for a in _SPLIT_BASES:
+        m = math.prod(q for q in pieces if q >= _PRIME_BELOW)
         x = pow(a, d, m)
         for _ in range(s + 1):
-            g = math.gcd(x - 1, m)
-            if g == m:
+            if x == 1:
                 break
+            g = math.gcd(x - 1, m)
             if g > 1:
-                return g
+                split = []
+                for q in pieces:
+                    h = math.gcd(g, q)
+                    split += (h, q // h) if 1 < h < q else (q,)
+                if max(split) < _PRIME_BELOW:
+                    return split
+                pieces = split
             x = x * x % m
-    return None
+    return pieces
 
 
 def factorize(n: int, budget: int = 4_000_000) -> Factorization:
-    """Factor n >= 2 in three steps: trial division to 10**4, then Miller's
-    n - 1 split of each composite cofactor, then Brent's cycle method with
-    a deterministic seed schedule for what the split leaves.
+    """Factor n >= 2 in three steps: one gcd with the product of the primes
+    below 10**4, dividing n only by the primes of that gcd; then Miller's
+    n - 1 chains, at most eight modular powers in all, which split
+    Carmichael numbers and their divisors into all their primes; then
+    Brent's cycle method with a deterministic seed schedule for the rest.
 
-    The n - 1 split costs at most eight modular powers per cofactor.  It
-    splits Carmichael numbers and their divisors (each base succeeds with
-    probability at least 1/2); what it cannot split goes on to Brent.  All
-    returned primes are certified by is_prime_baseline.  The step budget
-    counts Brent steps only; BudgetExceededError (carrying partial
-    results) is raised when it runs out.
+    No prime below 10**4 divides what the gcd step leaves, so every piece
+    below 10**8 is prime; is_prime_baseline certifies the larger ones.  The
+    step budget counts Brent steps only; BudgetExceededError (carrying
+    partial results) is raised when it runs out.
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     found: dict[int, int] = {}
     m = n
+    small = math.gcd(n, _primorial())
     for p in _small_primes():
-        if p * p > m:
+        if small == 1:
             break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+        if p * p > small:
+            p = small  # what is left of the squarefree gcd is one prime
+        if small % p == 0:
+            small //= p
+            while m % p == 0:
+                found[p] = found.get(p, 0) + 1
+                m //= p
     steps = [budget]
-    pending: list[int] = []
-    if m > 1:
-        # No factor below 10**4 survives trial division, so anything under
-        # 10**8 left here is prime.
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            found[m] = found.get(m, 0) + 1
-        else:
-            pending.append(m)
+    # Largest last out, so that the primes are found before rho can give up.
+    pending = sorted(_miller_split(m, n - 1), reverse=True) if m >= _PRIME_BELOW else [m]
     while pending:
         m = pending.pop()
-        if is_prime_baseline(m):
-            found[m] = found.get(m, 0) + 1
+        if m < _PRIME_BELOW or is_prime_baseline(m):
+            if m > 1:
+                found[m] = found.get(m, 0) + 1
             continue
-        f = _miller_split(m, n - 1) or _rho_split(m, steps)
+        f = _rho_split(m, steps)
         if f is None:
             raise BudgetExceededError(n, found, [m] + pending)
         pending.append(f)

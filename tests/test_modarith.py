@@ -11,6 +11,7 @@ from primesig import (
     find_k_and_primes,
     is_prime_baseline,
     jacobi,
+    korselt,
     subset_product_search,
 )
 
@@ -123,6 +124,17 @@ def test_factorize_known_values():
     assert factorize(561).as_dict() == {3: 1, 11: 1, 17: 1}
     assert factorize(271441).as_dict() == {521: 2}
     assert factorize(2).as_dict() == {2: 1}
+    # Edges of the gcd step and of the rule that a cofactor below 10**8 is
+    # prime: 10007 is the first prime above 10**4 and 10007**2 > 10**8,
+    # 99999989 is the last prime below 10**8, 10009 * 10037 > 10**8.
+    assert factorize(4).as_dict() == {2: 2}
+    assert factorize(10007**2).as_dict() == {10007: 2}
+    assert factorize(9973 * 10007).as_dict() == {9973: 1, 10007: 1}
+    assert factorize(9973**2 * 10007).as_dict() == {9973: 2, 10007: 1}
+    assert factorize(2**20 * 3**5 * 99999989).as_dict() == {2: 20, 3: 5, 99999989: 1}
+    assert factorize(99999989 * 100000007).as_dict() == {99999989: 1, 100000007: 1}
+    assert factorize(10007 * 10009 * 10037).as_dict() == {10007: 1, 10009: 1, 10037: 1}
+    assert factorize(10**9 + 7).as_dict() == {10**9 + 7: 1}
 
 
 def test_factorize_rejects_small_input():
@@ -153,13 +165,19 @@ def test_factorize_larger_semiprimes():
 
 
 def test_factorize_budget_exhaustion_carries_partial():
+    # Whatever is found plus whatever is left must give back n.  For the
+    # second n the n - 1 chains split off 1001683 and hand the rest to rho.
     p, q = 1000003, 1000033
-    n = 8 * p * q
-    with pytest.raises(BudgetExceededError) as info:
-        factorize(n, budget=10)
-    partial = info.value.partial
-    assert partial.get(2) == 3
-    assert info.value.remaining == [p * q]
+    cases = ((8 * p * q, {2: 3}, [p * q]),
+             (15 * 1000039 * 1000211 * 1001683, {3: 1, 5: 1, 1001683: 1},
+              [1000039 * 1000211]))
+    for n, partial, remaining in cases:
+        with pytest.raises(BudgetExceededError) as info:
+            factorize(n, budget=10)
+        err = info.value
+        assert (err.partial, err.remaining) == (partial, remaining)
+        assert math.prod(f**e for f, e in err.partial.items()) * math.prod(err.remaining) == n
+        assert all(is_prime_naive(f) for f in err.partial)
 
 
 def test_factorize_splits_carmichael_numbers_without_rho(monkeypatch):
@@ -183,6 +201,16 @@ def test_factorize_splits_carmichael_numbers_without_rho(monkeypatch):
     for subset in subsets:
         n = math.prod(subset)
         assert factorize(n).factors == tuple((p, 1) for p in subset), subset
+    # A 546-bit complement (ROADMAP item 2): the pool over lcm(1..17) for
+    # k = 23 without six of its 39 primes, 33 primes whose product is 1 mod
+    # 23 * L.
+    L = 12252240
+    _, pool = find_k_and_primes(L, cubic, (23, 23), 10**8)
+    subset = [p for p in pool if p not in (599, 2393, 107641, 552553, 782783, 2134861)]
+    n = math.prod(subset)
+    assert len(subset) == 33 and n.bit_length() == 546 and n % (23 * L) == 1
+    assert factorize(n).factors == tuple((p, 1) for p in subset)
+    assert korselt(n).validates
 
 
 def test_factorize_falls_back_to_rho_on_other_input(monkeypatch):
