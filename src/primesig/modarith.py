@@ -22,21 +22,18 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 10_000
-_small_primes_cache: list[int] | None = None
 
 
+@functools.cache
 def _small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        limit = _TRIAL_LIMIT
-        sieve = bytearray(b"\x01") * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                start = p * p
-                sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
-        _small_primes_cache = [i for i in range(limit + 1) if sieve[i]]
-    return _small_primes_cache
+    limit = _TRIAL_LIMIT
+    sieve = bytearray(b"\x01") * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
+    return [i for i in range(limit + 1) if sieve[i]]
 
 
 @functools.cache

@@ -18,13 +18,12 @@ marks each odd n of the block 0 when it is prime and 1 when it is
 composite.  For the two Perrin tests (SearchSpec.prefilter) it then marks
 2 composites that cannot pass, each with a prime factor p such that
 A(n) != r mod p, by one rule for each p: since A(p*m) = A(m) mod p, all
-odd multiples p*m are marked 2, then the classes of m with
-A(m) = r mod p get their marks back.  Frobenius scans get the sieve
-alone.  For a test that does not apply to every odd composite
-(SearchSpec.may_refuse), one more pass marks 3 each composite it
-refuses.  The test runs only on the n still marked 1, and the outcome
-counts are those of the marks: 0 prime, 3 not-applicable,
-2 rejected:prefilter, 1 rejected:test or flagged.
+odd multiples p*m are marked 2, then the classes of m with A(m) = r mod p
+get their marks back.  Frobenius scans get the sieve alone.  A composite
+the test refuses is an odd multiple n >= 3q of a q in SearchSpec.refusers,
+so applies is asked only there; each refused n is marked 3.  The test runs
+on the n still marked 1, and the outcome counts are those of the marks:
+0 prime, 3 not-applicable, 2 rejected:prefilter, 1 rejected:test or flagged.
 
 The range is cut into fixed-size blocks (default 2**16), dealt round
 robin: with procs = min(workers, blocks left), block j of a run goes to
@@ -57,7 +56,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
-from .modarith import _TRIAL_LIMIT, _small_primes, is_prime_baseline, jacobi
+from .modarith import _TRIAL_LIMIT, _small_primes, factorize, is_prime_baseline, jacobi
 from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
                      exact_terms, residue_tables, residue_walk, signature)
 from .polymod import _require_squarefree
@@ -89,10 +88,10 @@ class SearchSpec:
     The one place that knows each test: where it applies (applies), how
     to run it (run), its recurrence (params, from r and s) and the
     discriminant whose Jacobi symbol its records carry (delta: of poly
-    for frobenius, of the cubic of params for the Perrin tests).  Both
-    are computed once, when the spec is built; a frobenius spec keeps
-    poly as the validator trims it, so that its records and hash do not
-    depend on trailing zeros."""
+    for frobenius, of the cubic of params for the Perrin tests), computed
+    when the spec is built, and refusers, when a scan first reads it; a
+    frobenius spec keeps poly as the validator trims it, so that its
+    records and hash do not depend on trailing zeros."""
 
     test: str
     r: int = 0
@@ -122,11 +121,15 @@ class SearchSpec:
             return math.gcd(n, self.poly[0] * self.delta) != n
         return True
 
-    @property
-    def may_refuse(self) -> bool:
-        """Whether applies(n) can be False at some odd composite n; where
-        it cannot, a scan never asks."""
-        return self.test != "perrin-weak"
+    @functools.cached_property
+    def refusers(self) -> tuple[int, ...]:
+        """The odd primes q of delta (perrin-full) or f(0)*delta (frobenius),
+        none for perrin-weak: applies is False at an odd composite n only if
+        some q | n, so n >= 3q.  (1,), every odd n, where it is 2^64 or more."""
+        read = {"perrin-full": self.delta, "frobenius": self.poly[0] * self.delta}
+        if (number := abs(read.get(self.test, 1))) >= 1 << 64:
+            return (1,)
+        return tuple(q for q in factorize(number).primes() if q > 2) if number > 1 else ()
 
     def run(self, n: int) -> PerrinResult | FrobeniusReport:
         """The test's result at n."""
@@ -286,17 +289,17 @@ def _mark_rough(marks: bytearray, first: int, hi: int, params: RecurrenceParams,
 
 def _scan_block(start: int, stop: int, spec: SearchSpec, block_size: int,
                 index: int) -> tuple[list[str], dict[str, int]]:
-    """(records, outcome counts) of block index of the scan of
-    [start, stop]: the n that _mark_block leaves at 1 and spec.applies
-    to run the test, and each outcome is counted from the marks."""
+    """(records, outcome counts) of block index of the scan of [start,
+    stop]: the test runs on the marks 1 that spec.applies to, asked only
+    at odd multiples n >= 3q of spec.refusers; outcomes count the marks."""
     lo = start + index * block_size
     hi = min(lo + block_size - 1, stop)
     first = max(lo | 1, 3)
     marks = _mark_block(first, hi, spec.prefilter)
-    if spec.may_refuse:
-        # Not applicable outranks the prefilter: such an n is marked 3.
-        for i, mark in enumerate(marks):
-            if mark and not spec.applies(first + 2 * i):
+    # Not applicable outranks the prefilter: such an n is marked 3.
+    for q in spec.refusers:
+        for i in range(_odd_multiple_index(q, max(3 * q, first), first), len(marks), q):
+            if marks[i] and not spec.applies(first + 2 * i):
                 marks[i] = 3
     lines = []
     i = marks.find(1)

@@ -419,8 +419,9 @@ def test_sieve_falls_back_to_baseline_above_its_limit(monkeypatch):
 
 def per_n_scan_block(lo, hi, spec):
     # The block loop one n at a time, as an oracle: primality comes from
-    # is_prime_baseline and applicability from spec.applies, and only
-    # the prefilter's 2s are read from the marks.
+    # is_prime_baseline, applicability from the tests' own rules
+    # (gcd(n, delta) = 1 for perrin-full, n not dividing f(0)*delta for
+    # frobenius), and only the prefilter's 2s are read from the marks.
     first = max(lo | 1, 3)
     marks = search._mark_block(first, hi, spec.prefilter)
     counts = dict.fromkeys(OUTCOMES, 0)
@@ -428,7 +429,8 @@ def per_n_scan_block(lo, hi, spec):
     for i, n in enumerate(range(first, hi + 1, 2)):
         if is_prime_baseline(n):
             outcome = "prime"
-        elif not spec.applies(n):
+        elif (math.gcd(n, spec.delta) > 1 if spec.test == "perrin-full"
+              else spec.test == "frobenius" and spec.poly[0] * spec.delta % n == 0):
             outcome = "not-applicable"
         elif marks[i] == 2:
             outcome = "rejected:prefilter"
@@ -459,10 +461,24 @@ SCAN_SPECS = {
     # delta = -175 = -5^2 * 7: the multiples of 5 and 7 are refused.
     "full-m2-3": SearchSpec("perrin-full", -2, 3),
     "frobenius": SearchSpec("frobenius"),
+    # x^2 - 5, f(0)*delta = -100: 25 is refused, 15 and 35 are tested.
+    "frobenius-x2-5": SearchSpec("frobenius", poly=(-5, 0, 1)),
+    # |delta| ~ 4*10^21 is not factored, so applies is asked at every
+    # composite.
+    "full-1e7-3": SearchSpec("perrin-full", 10**7, 3),
     # (x - 1)(x^2 + 1): no composite is rejected and every one survives
     # to the test, which flags it; the smaller windows suffice.
     "weak-1-1": SearchSpec("perrin-weak", 1, 1),
 }
+
+
+def test_refusers_are_the_odd_primes_that_applies_reads():
+    assert SearchSpec("perrin-full").refusers == (23,)
+    assert SearchSpec("frobenius").refusers == (23,)
+    assert SearchSpec("perrin-full", -2, 3).refusers == (5, 7)
+    assert SearchSpec("perrin-weak").refusers == ()
+    assert SearchSpec("frobenius", poly=(-5, 0, 1)).refusers == (5,)
+    assert SearchSpec("perrin-full", 10**7, 3).refusers == (1,)
 
 
 @pytest.mark.parametrize("name, lo, size", [
@@ -487,12 +503,13 @@ def test_scan_block_matches_the_per_n_loop(name, lo, size, monkeypatch):
     monkeypatch.setattr(search, "_record_for", record_for)
     lines, counts = search._scan_block(lo, hi, spec, hi - lo + 1, 0)
     assert (lines, counts) == want
-    # applies is asked once about each composite when the test may refuse
-    # one, and never otherwise.  Only the n that the test applies to and
-    # the prefilter kept reach the test.
-    composites = sum(counts.values()) - counts["prime"]
+    # applies is asked only at odd multiples n >= 3q of the spec's
+    # refusers, never at a prime, and about every n counted not-applicable.
+    # Only the n that the test applies to and the prefilter kept reach the
+    # test.
+    assert all(any(n % q == 0 and n >= 3 * q for q in spec.refusers) for n in asked)
     assert not any(map(is_prime_baseline, asked))
-    assert len(set(asked)) == len(asked) == (composites if spec.may_refuse else 0)
+    assert len({n for n in asked if not real_applies(spec, n)}) == counts["not-applicable"]
     assert len(tested) == counts["rejected:test"] + counts["flagged"]
     if name == "weak-1-1":
         assert counts["flagged"] == sum(counts.values()) - counts["prime"]
