@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frobenius import splits_completely
+from .frobenius import _splits_completely
 from .modarith import Factorization, factorize
 from .polymod import _discriminant, _require_monic
 
@@ -102,7 +102,8 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     if not cert.validates:
         return CarmichaelFrobeniusResult(cert, (), cert.failure_reason)
     delta = _discriminant(tuple(cs))
-    evidence = [SplittingEvidence(p, splits_completely(p, cs), ramified=delta % p == 0)
+    # factorize has certified every prime of the factorization.
+    evidence = [SplittingEvidence(p, _splits_completely(p, cs), ramified=delta % p == 0)
                 for p in cert.factorization.primes()]
     bad = [str(e.p) for e in evidence if not e.splits]
     reason = f"no complete splitting at {','.join(bad)}" if bad else None

@@ -12,12 +12,13 @@ the splitting choice its prime factors all split for f.
 
 Subset hunting is meet-in-the-middle on residues mod L: one half of the
 pool is tabulated by the residues of its subsets of at most t_max
-members, the other by the inverses of theirs, each subset held as a
-bitmask of the pool, so the modest prime pools this module targets stay
-comfortably cheap.  The tables share one step budget and the pair scan
-has one of its own, so a cut table still leaves pairs to examine.  Every
-emitted certificate is re-verified from scratch before it leaves the
-pipeline.
+members, the other by the inverses of theirs.  Each table is a flat list
+of residues beside an array of member bitmasks of the pool, and only the
+residues the two tables share are indexed for the pair scan, so the
+modest prime pools this module targets stay comfortably cheap.  The
+tables share one step budget and the pair scan has one of its own, so a
+cut table still leaves pairs to examine.  Every emitted certificate is
+re-verified from scratch before it leaves the pipeline.
 
 ConstructionParams raises one ValueError naming every bad value when it
 is built, so a stage diagnostic from construct means valid input starved.
@@ -26,10 +27,12 @@ is built, so a stage diagnostic from construct means valid input starved.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 from .carmichael import KorseltCertificate, SplittingEvidence, carmichael_frobenius
-from .frobenius import splits_completely
+from .frobenius import _splits_completely
 from .modarith import factorize, is_prime_baseline
 from .polymod import _require_squarefree, _trim
 
@@ -46,6 +49,8 @@ __all__ = [
 ]
 
 _MAX_DIVISORS = 1 << 20
+# Subset tables hold members as bits of the sorted pool in an array("Q"),
+# so the pool may not outgrow its 64 bits.
 _MAX_POOL = 64
 
 
@@ -189,7 +194,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
                 break  # divisors ascend, so every later p is too big
             if p == 2 or L % p == 0 or not is_prime_baseline(p):
                 continue
-            if splits_completely(p, cs):
+            if _splits_completely(p, cs):
                 pool.append(p)
         if best is None or len(pool) > len(best[1]):
             best = (k, pool)
@@ -199,22 +204,24 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
 
 
 def _subset_table(factors, L: int, t_max: int,
-                  room: int) -> tuple[list[tuple[int, int]], bool]:
-    """(residue mod L, member bitmask) for the subsets of at most t_max of
-    factors, a list of (unit mod L, bit) pairs; a subset's residue is the
-    product of its units.
+                  room: int) -> tuple[list[int], array, bool]:
+    """Residues mod L and member bitmasks, index for index, of the subsets
+    of at most t_max of factors, a list of (unit mod L, bit) pairs; a
+    subset's residue is the product of its units.
 
     Built one factor at a time: each factor extends every entry so far
     with fewer than t_max members, in order.  At most room new entries
     are made; the flag is False when some such subset did not fit."""
-    table = [(1 % L, 0)]
+    residues = [1 % L]
+    masks = array("Q", [0])
     for unit, bit in factors:
-        grown = [(r * unit % L, m | bit) for r, m in table if m.bit_count() < t_max]
-        table += grown[:room]
-        room -= len(grown)
+        grows = [m.bit_count() < t_max for m in masks]
+        residues += [r * unit % L for r in islice(compress(residues, grows), room)]
+        masks.extend([m | bit for m in islice(compress(masks, grows), room)])
+        room -= grows.count(True)
         if room < 0:
-            return table, False
-    return table, True
+            return residues, masks, False
+    return residues, masks, True
 
 
 def subset_product_search(primes, L: int, t_max: int,
@@ -224,9 +231,10 @@ def subset_product_search(primes, L: int, t_max: int,
     Meet-in-the-middle: the pool is sorted and split into halves by index
     parity.  The right half is tabulated by the residues of its primes,
     the left half by the residues of their inverses, so a left entry's
-    residue is the key of the right entries that complete it to 1 mod L.
-    Tables hold only subsets of at most t_max members.  Members are bits
-    of the sorted pool, decoded only for a match of allowed size.  The two
+    residue is the key of the right entries that complete it to 1 mod L;
+    only keys found in both tables are indexed and scanned.  Tables hold
+    only subsets of at most t_max members.  Members are bits of the sorted
+    pool, decoded only for a match of allowed size.  The two
     tables share budget new entries, and the pair scan examines up to
     budget pairs of its own.  Results come out in ascending product order.
     complete is False when either allowance ran out first.
@@ -244,16 +252,21 @@ def subset_product_search(primes, L: int, t_max: int,
     right_factors = [(p % L, 1 << i) for i, p in enumerate(pool) if i % 2]
     left_factors = [(pow(p, -1, L), 1 << i) for i, p in enumerate(pool) if i % 2 == 0]
     budget = max(budget, 0)
-    right, right_full = _subset_table(right_factors, L, t_max, budget)
-    left, left_full = _subset_table(left_factors, L, t_max, budget + 1 - len(right))
+    right, right_masks, right_full = _subset_table(right_factors, L, t_max, budget)
+    left, left_masks, left_full = _subset_table(left_factors, L, t_max,
+                                                budget + 1 - len(right))
     complete = right_full and left_full
+    common = set(right).intersection(left)
     by_residue: dict[int, list[int]] = {}
-    for residue, mask in right:
-        by_residue.setdefault(residue, []).append(mask)
+    for residue, mask in zip(right, right_masks):
+        if residue in common:
+            by_residue.setdefault(residue, []).append(mask)
     found: list[int] = []
     pairs = budget
-    for key, left_mask in left:
-        matches = by_residue.get(key, ())
+    for key, left_mask in zip(left, left_masks):
+        if key not in common:
+            continue  # no right entry completes it: zero pairs to examine
+        matches = by_residue[key]
         for right_mask in matches[:pairs]:
             mask = left_mask | right_mask
             if 3 <= mask.bit_count() <= t_max:

@@ -196,5 +196,11 @@ def splits_completely(p: int, coeffs) -> bool:
     """
     if not is_prime_baseline(p):
         raise ValueError(f"{p} is not prime")
-    f = _reduce(_require_monic(coeffs, 1), p)
+    return _splits_completely(p, _require_monic(coeffs, 1))
+
+
+def _splits_completely(p: int, cs: list[int]) -> bool:
+    # splits_completely for a p its caller has already certified prime and
+    # coefficients already checked monic.
+    f = _reduce(cs, p)
     return _xpow(p, f, p) == _pdivmod_monic([0, 1], f, p)[1]

@@ -250,7 +250,7 @@ _SPLIT_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 _PRIME_BELOW = _TRIAL_LIMIT * _TRIAL_LIMIT
 
 
-def _miller_split(m: int, e: int) -> list[int]:
+def _miller_split(m: int, e: int) -> list[int] | None:
     # Miller's reduction (J. Comput. Syst. Sci. 13, 1976): with e = d*2^s,
     # d odd, walk the whole chain x = a^d, a^(2d), ..., a^e for each base a.
     # When e is a multiple of lambda(m), as for every divisor m of a
@@ -258,6 +258,10 @@ def _miller_split(m: int, e: int) -> list[int]:
     # x - 1 vanishes mod one prime factor of m but not mod another.  Each
     # gcd(x - 1, m) refines every piece, so one power (mod the pieces still
     # at or above 10**8) serves them all, until all are below 10**8.
+    # When m = e + 1 and base 2's chain reaches 1 without a split, the x
+    # before the 1 is -1 mod m (m divides x^2 - 1 but not x - 1), so m is
+    # a strong probable prime to base 2: is_prime_baseline settles it
+    # before the next base, and None means m is prime.
     s = (e & -e).bit_length() - 1
     d = e >> s
     pieces = [m]
@@ -266,6 +270,8 @@ def _miller_split(m: int, e: int) -> list[int]:
         x = pow(a, d, m)
         for _ in range(s + 1):
             if x == 1:
+                if a == 2 and pieces == [e + 1] and is_prime_baseline(m):
+                    return None
                 break
             g = math.gcd(x - 1, m)
             if g > 1:
@@ -288,7 +294,9 @@ def factorize(n: int, budget: int = 4_000_000) -> Factorization:
     Brent's cycle method with a deterministic seed schedule for the rest.
 
     No prime below 10**4 divides what the gcd step leaves, so every piece
-    below 10**8 is prime; is_prime_baseline certifies the larger ones.  The
+    below 10**8 is prime; is_prime_baseline certifies the larger ones, an n
+    left whole as soon as its base-2 chain shows it a strong probable
+    prime, so that a prime n costs one chain.  The
     step budget counts Brent steps only; BudgetExceededError (carrying
     partial results) is raised when it runs out.
     """
@@ -308,8 +316,11 @@ def factorize(n: int, budget: int = 4_000_000) -> Factorization:
                 found[p] = found.get(p, 0) + 1
                 m //= p
     steps = [budget]
+    pending = _miller_split(m, n - 1) if m >= _PRIME_BELOW else [m]
+    if pending is None:  # n was left whole, and it is prime
+        return Factorization(n, ((n, 1),))
     # Largest last out, so that the primes are found before rho can give up.
-    pending = sorted(_miller_split(m, n - 1), reverse=True) if m >= _PRIME_BELOW else [m]
+    pending.sort(reverse=True)
     while pending:
         m = pending.pop()
         if m < _PRIME_BELOW or is_prime_baseline(m):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,7 @@ from primesig import (
     splits_completely,
     subset_product_search,
 )
-from primesig import constructor
+from primesig import constructor, frobenius
 from primesig.modarith import factorize, is_prime_baseline
 
 from oracles import subsets_by_enumeration
@@ -178,6 +179,54 @@ def test_subset_search_budget_truncates():
     clipped = subset_product_search(pool, 5, 5, budget=10)
     assert not clipped.complete
     assert set(clipped.subsets) <= set(full.subsets)
+
+
+def test_subset_search_pins_its_cuts():
+    # Each half of this pool has 15 subsets of at most 4 members.  A budget
+    # of 15 fills the right table (7, 13, 19, 29) and leaves the left one
+    # only the empty subset; a budget of 34 fills both tables and cuts the
+    # pair scan after 34 of its 64 pairs, inside one left entry's matches.
+    # Values taken before the tables became flat residue lists and mask
+    # arrays.
+    pool = [3, 7, 11, 13, 17, 19, 23, 29]
+    assert subset_product_search(pool, 5, 4, budget=15) == SubsetSearchResult(
+        ((7, 13, 19, 29),), False)
+    assert subset_product_search(pool, 5, 4, budget=34) == SubsetSearchResult(
+        ((3, 7, 11), (3, 11, 17), (3, 13, 19), (7, 11, 13), (3, 13, 29), (7, 17, 19),
+         (11, 13, 17), (7, 17, 29), (3, 7, 13, 17), (13, 19, 23), (11, 19, 29),
+         (3, 11, 13, 19), (3, 7, 19, 29), (3, 11, 13, 29), (7, 11, 17, 19),
+         (3, 17, 19, 29), (7, 11, 17, 29), (7, 13, 19, 29), (13, 17, 19, 29)), False)
+    assert len(subset_product_search(pool, 5, 4, budget=64).subsets) == 32
+
+
+def test_subset_search_tables_stay_lean():
+    # 32 primes of the pool over lcm(1..17), t_max 10: each half has about
+    # 58000 subsets.  tracemalloc's peak was 21.7 MiB with (residue, mask)
+    # tuples and a dict of every right residue, and is 7.9 MiB with flat
+    # residue lists, mask arrays and a dict of the shared residues alone.
+    L = 12252240
+    _, pool = find_k_and_primes(L, (-1, -1, 0, 1), (23, 23), 10**8)
+    tracemalloc.start()
+    try:
+        result = subset_product_search(pool[:32], L, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.complete and len(result.subsets) == 54
+    assert peak < 12 << 20
+
+
+def test_internal_callers_do_not_retest_primality(monkeypatch):
+    # find_k_and_primes has tested each candidate and factorize has
+    # certified each factor, so neither asks splits_completely to test again.
+    def no_test(p):
+        raise AssertionError(f"{p} tested again")
+
+    monkeypatch.setattr(frobenius, "is_prime_baseline", no_test)
+    assert find_k_and_primes(35, (-1, 1), (1, 100), 3000) == (66, [67, 331, 463, 2311])
+    assert carmichael_frobenius(7 * 13 * 19, (-1, 1))
+    with pytest.raises(AssertionError):
+        splits_completely(59, (-1, -1, 0, 1))
 
 
 def test_construct_classic_preset():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -211,6 +212,30 @@ def test_factorize_splits_carmichael_numbers_without_rho(monkeypatch):
     assert len(subset) == 33 and n.bit_length() == 546 and n % (23 * L) == 1
     assert factorize(n).factors == tuple((p, 1) for p in subset)
     assert korselt(n).validates
+
+
+def test_factorize_certifies_a_whole_prime_after_one_chain(monkeypatch):
+    # A piece the gcd step leaves whole whose base-2 chain reaches 1 without
+    # a split is a strong probable prime to base 2; is_prime_baseline then
+    # certifies it before the next base.  The three-argument pow calls made
+    # by _miller_split are its chains.
+    chains = []
+
+    def counting_pow(*args):
+        if sys._getframe(1).f_code.co_name == "_miller_split":
+            chains.append(args[0])
+        return pow(*args)
+
+    monkeypatch.setattr(primesig.modarith, "pow", counting_pow, raising=False)
+    for n in (2**127 - 1, 2**89 - 1, 10**9 + 7):
+        chains.clear()
+        assert factorize(n).as_dict() == {n: 1}
+        assert chains == [2], n
+    # 13537 * 27073 * 40609 is a strong pseudoprime to base 2 with no prime
+    # factor below 10^4: is_prime_baseline rejects it and the chains go on.
+    chains.clear()
+    assert factorize(13537 * 27073 * 40609).as_dict() == {13537: 1, 27073: 1, 40609: 1}
+    assert chains[0] == 2 and len(chains) > 1
 
 
 def test_factorize_falls_back_to_rho_on_other_input(monkeypatch):
