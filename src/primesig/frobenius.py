@@ -11,12 +11,19 @@ factor of n.
 splits_completely answers, for a certified prime p, whether f falls into
 distinct linear factors mod p; that is the local condition the
 Carmichael constructor needs.
+
+Each public function validates its input and then calls a check-free
+helper: _factorization_step for coefficients already checked monic,
+_frobenius_test for the coefficients and discriminant that
+_require_squarefree returned (SearchSpec.run passes those of its spec and
+keeps every check on n), and _splits_completely for a certified prime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .modarith import is_prime_baseline, jacobi
 from .polymod import (_compose_mod, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce,
@@ -84,6 +91,11 @@ class JacobiStepResult:
     reason: str | None = None
 
 
+def _require_odd(n: int) -> None:
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and > 1, got {n}")
+
+
 def factorization_step(n: int, coeffs) -> FactorizationStepResult:
     """Split f mod n by iterated gcmd with x^(n^i) - x.
 
@@ -91,9 +103,13 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
     power mod the current cofactor (which divides the previous one) and
     raises it to the n-th power, so the exponent never materializes.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and > 1, got {n}")
-    cs = _require_monic(coeffs, 2)
+    _require_odd(n)
+    return _factorization_step(n, _require_monic(coeffs, 2))
+
+
+def _factorization_step(n: int, cs: Sequence[int]) -> FactorizationStepResult:
+    # factorization_step for an odd n > 1 and coefficients already checked
+    # monic of degree >= 2.
     d = len(cs) - 1
     remaining = _reduce(cs, n)
     degrees: list[int] = []
@@ -112,6 +128,8 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
         part = out[1]
         degrees.append(len(part) - 1)
         parts.append(tuple(part))
+        if len(part) == 1:
+            continue  # the constant 1 leaves the cofactor as it is
         quot, rem = _pdivmod_monic(remaining, part, n)
         if rem:
             raise RuntimeError("gcmd result does not divide its inputs")
@@ -124,8 +142,7 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
 
 def frobenius_step(n: int, parts) -> FrobeniusStepResult:
     """Check F_i(x^n) = 0 mod (n, F_i) for every nontrivial part i >= 2."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and > 1, got {n}")
+    _require_odd(n)
     for i, part in enumerate(parts, start=1):
         f_i = _trim(list(part))
         if i < 2 or len(f_i) < 2:
@@ -162,16 +179,20 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
     strictly between 1 and n is itself composite evidence, while
     gcd = n means the test does not apply and raises ValueError.
     """
-    cs, delta = _require_squarefree(coeffs, 2)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and > 1, got {n}")
+    return _frobenius_test(n, *_require_squarefree(coeffs, 2))
+
+
+def _frobenius_test(n: int, cs: Sequence[int], delta: int) -> FrobeniusReport:
+    # frobenius_test for coefficients and discriminant that
+    # _require_squarefree has returned; every check on n stays.
+    _require_odd(n)
     poly = tuple(cs)
     g = math.gcd(n, cs[0] * delta)
     if g == n:
         raise ValueError(f"gcd(n, f(0)*delta) = n; test does not apply to {n}")
     if g > 1:
         return FrobeniusReport(n, poly, COMPOSITE, "precondition", (), factor_found=g)
-    fact = factorization_step(n, cs)
+    fact = _factorization_step(n, cs)
     if fact.declared_composite:
         return FrobeniusReport(n, poly, COMPOSITE, "factorization", fact.degrees,
                                factor_found=fact.factor_found)

@@ -258,10 +258,13 @@ def _miller_split(m: int, e: int) -> list[int] | None:
     # x - 1 vanishes mod one prime factor of m but not mod another.  Each
     # gcd(x - 1, m) refines every piece, so one power (mod the pieces still
     # at or above 10**8) serves them all, until all are below 10**8.
-    # When m = e + 1 and base 2's chain reaches 1 without a split, the x
-    # before the 1 is -1 mod m (m divides x^2 - 1 but not x - 1), so m is
-    # a strong probable prime to base 2: is_prime_baseline settles it
-    # before the next base, and None means m is prime.
+    # When base 2's chain leaves m whole, is_prime_baseline settles it
+    # before the next base, and None means m is prime.  For m < e + 1 the
+    # chain says nothing about m, and is_prime_baseline's first round is a
+    # strong test of m to base 2.  For m = e + 1 it is asked only when the
+    # chain reached 1: the x before the 1 is -1 mod m (m divides x^2 - 1
+    # but not x - 1), so m is a strong probable prime to base 2; a chain
+    # that never reaches 1 shows m composite.
     s = (e & -e).bit_length() - 1
     d = e >> s
     pieces = [m]
@@ -270,8 +273,6 @@ def _miller_split(m: int, e: int) -> list[int] | None:
         x = pow(a, d, m)
         for _ in range(s + 1):
             if x == 1:
-                if a == 2 and pieces == [e + 1] and is_prime_baseline(m):
-                    return None
                 break
             g = math.gcd(x - 1, m)
             if g > 1:
@@ -283,6 +284,10 @@ def _miller_split(m: int, e: int) -> list[int] | None:
                     return split
                 pieces = split
             x = x * x % m
+        else:
+            x = 0  # the chain never reached 1
+        if a == 2 and len(pieces) == 1 and (x == 1 or m <= e) and is_prime_baseline(m):
+            return None
     return pieces
 
 
@@ -294,10 +299,10 @@ def factorize(n: int, budget: int = 4_000_000) -> Factorization:
     Brent's cycle method with a deterministic seed schedule for the rest.
 
     No prime below 10**4 divides what the gcd step leaves, so every piece
-    below 10**8 is prime; is_prime_baseline certifies the larger ones, an n
-    left whole as soon as its base-2 chain shows it a strong probable
-    prime, so that a prime n costs one chain.  The
-    step budget counts Brent steps only; BudgetExceededError (carrying
+    below 10**8 is prime; is_prime_baseline certifies the larger ones, and
+    what the gcd step left as soon as base 2's chain leaves it whole, so
+    that a prime, or a prime times primes below 10**4, costs one chain.
+    The step budget counts Brent steps only; BudgetExceededError (carrying
     partial results) is raised when it runs out.
     """
     if n < 2:
@@ -317,8 +322,9 @@ def factorize(n: int, budget: int = 4_000_000) -> Factorization:
                 m //= p
     steps = [budget]
     pending = _miller_split(m, n - 1) if m >= _PRIME_BELOW else [m]
-    if pending is None:  # n was left whole, and it is prime
-        return Factorization(n, ((n, 1),))
+    if pending is None:  # what the gcd step left is prime
+        found[m] = 1
+        pending = []
     # Largest last out, so that the primes are found before rho can give up.
     pending.sort(reverse=True)
     while pending:

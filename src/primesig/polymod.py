@@ -12,10 +12,12 @@ the recurrence terms, the Frobenius stages, root recovery and splitting
 checks need comes from _xpow, and every gcmd(x^k - x, f) from
 _gcmd_minus_x.  A cubic f (the Perrin family) gets unrolled
 square-and-multiply kernels, one for x^e (where multiplying is a shift)
-and one for g^e with any g; other degrees share the generic product and
-remainder.  _require_monic is the one check that an integer polynomial
-from a caller is monic of a given minimum degree, and _require_squarefree
-the one check that it also has no repeated root and no root 0.
+and one for g^e with any g, and an unrolled Euclid on scalars for a
+quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
+other degrees share the generic product, remainder and _gcmd.
+_require_monic is the one check that an integer polynomial from a caller
+is monic of a given minimum degree, and _require_squarefree the one
+check that it also has no repeated root and no root 0.
 
 The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by the subresultant pseudo-remainder
@@ -104,9 +106,11 @@ def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[
 
 
 def _ppow_monic(g: list[int], e: int, f: Sequence[int], n: int) -> list[int]:
-    # g**e mod monic f, deg f >= 1, e >= 0.  Cubics take the unrolled
-    # kernel, which carries the later Frobenius rounds and the signature.
-    g = _pdivmod_monic(g, f, n)[1]
+    # g**e mod monic f, deg f >= 1, e >= 0, g reduced mod n (only its
+    # degree may reach deg f).  Cubics take the unrolled kernel, which
+    # carries the later Frobenius rounds and the signature.
+    if len(g) >= len(f):
+        g = _pdivmod_monic(g, f, n)[1]
     if e == 0:
         return [1 % n]
     if not g:
@@ -193,11 +197,40 @@ def _gcmd(g: list[int], h: list[int], n: int):
 
 
 def _gcmd_minus_x(power: list[int], f: Sequence[int], n: int):
-    # gcmd(power - x, f).  With power = x^k mod f over a prime field this
-    # is the part of squarefree f whose roots satisfy a^k = a.
+    # gcmd(power - x, f), power reduced mod (n, f).  With power = x^k mod f
+    # over a prime field this is the part of squarefree f whose roots
+    # satisfy a^k = a.  For a cubic f and a quadratic power - x this is
+    # _gcmd's Euclid unrolled on scalars, with the same gcds and inversions
+    # in the same order, so it returns what _gcmd would.
     g = list(power) + [0] * (2 - len(power))
     g[1] -= 1
-    return _gcmd(g, f, n)
+    if len(f) != 4 or len(g) != 3:
+        return _gcmd(g, f, n)
+    # Make q = power - x monic: x^2 + m1*x + m0.
+    d = math.gcd(g[2], n)
+    if d > 1:
+        return ("factor", d)
+    inv = pow(g[2], -1, n)
+    m0, m1 = g[0] * inv % n, g[1] * inv % n
+    # f mod q, where f = (x + c)*q + r1*x + r0.
+    c = (f[2] - m1) % n
+    r1, r0 = (f[1] - m0 - c * m1) % n, (f[0] - c * m0) % n
+    if r1:
+        d = math.gcd(r1, n)
+        if d > 1:
+            return ("factor", d)
+        # The last divisor is x + t, the monic r1*x + r0, and the constant
+        # tail is q at its root -t.
+        t = r0 * pow(r1, -1, n) % n
+        last, tail = [t, 1], (m0 - (m1 - t) % n * t) % n
+    else:
+        last, tail = [m0, m1, 1], r0
+    # As in _gcmd: a zero tail leaves the last divisor; any other is a
+    # unit, making the gcd 1, or it exposes a factor.
+    if not tail:
+        return ("found", last)
+    d = math.gcd(tail, n)
+    return ("factor", d) if d > 1 else ("found", [1])
 
 
 def _compose_mod(f: list[int], g: list[int], n: int) -> list[int]:

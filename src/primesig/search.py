@@ -55,7 +55,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
+from .frobenius import PROBABLE_PRIME, FrobeniusReport, _frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, factorize, is_prime_baseline, jacobi
 from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
                      exact_terms, residue_tables, residue_walk, signature)
@@ -134,7 +134,7 @@ class SearchSpec:
     def run(self, n: int) -> PerrinResult | FrobeniusReport:
         """The test's result at n."""
         if self.test == "frobenius":
-            return frobenius_test(n, self.poly)
+            return _frobenius_test(n, self.poly, self.delta)
         return perrin_test(self.params, n, mode=self.test[len("perrin-"):])
 
     @property

@@ -1,18 +1,27 @@
+import io
 import math
 import random
+import re
 
 import pytest
 
 from primesig import (
     COMPOSITE,
+    PERRIN,
     PROBABLE_PRIME,
     FrobeniusReport,
+    RecurrenceParams,
+    SearchSpec,
+    classify_signature,
     factorization_step,
     frobenius_test,
     jacobi_step,
+    signature,
     splits_completely,
 )
-from primesig.polymod import _pdivmod_monic
+from primesig import frobenius, perrin
+from primesig.cli import verify_number
+from primesig.polymod import _gcmd, _pdivmod_monic
 
 from naive_frobenius import naive_frobenius
 from oracles import sieve
@@ -234,3 +243,64 @@ def test_gcmd_composite_evidence_becomes_verdict():
     if rep.factor_found is not None:
         assert 1 < rep.factor_found < 49 * 11
         assert (49 * 11) % rep.factor_found == 0
+
+
+def generic_gcmd_minus_x(power, f, n):
+    # gcmd(power - x, f) by _gcmd alone, without the cubic Euclid.
+    g = list(power) + [0] * (2 - len(power))
+    g[1] -= 1
+    return _gcmd(g, f, n)
+
+
+def reports(coeffs, ns):
+    out = []
+    for n in ns:
+        try:
+            out.append(frobenius_test(n, coeffs))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_cubic_euclid_keeps_every_report(monkeypatch):
+    # The whole report, factor and degrees included, with the cubic Euclid
+    # and with _gcmd alone, at every odd n up to 30001.
+    ns = range(3, 30002, 2)
+    for coeffs in (CUBIC, (3, -5, 7, 1)):
+        mine = reports(coeffs, ns)
+        with monkeypatch.context() as m:
+            m.setattr(frobenius, "_gcmd_minus_x", generic_gcmd_minus_x)
+            generic = reports(coeffs, ns)
+        assert mine == generic, coeffs
+        stages = {rep.stage for rep in mine if isinstance(rep, FrobeniusReport)}
+        assert stages >= {None, "factorization"}, (coeffs, stages)
+
+
+def test_cubic_euclid_keeps_every_root_recovery(monkeypatch):
+    # classify_signature recovers the root for Q by gcmd(x^n - x, f); its
+    # class must not move at any odd n, and Q must be common.
+    for params in (PERRIN, RecurrenceParams(1, -1), RecurrenceParams(-6, -6)):
+        sigs = [(n, signature(params, n, n)) for n in range(3, 8002, 2)]
+        mine = [classify_signature(params, n, sig) for n, sig in sigs]
+        recovered = []
+        with monkeypatch.context() as m:
+            m.setattr(perrin, "_gcmd_minus_x",
+                      lambda power, f, n: recovered.append(n) or generic_gcmd_minus_x(power, f, n))
+            generic = [classify_signature(params, n, sig) for n, sig in sigs]
+        assert mine == generic, params
+        assert sum(klass.kind == "Q" for klass in mine) >= 200 and len(recovered) >= 300, params
+
+
+def test_check_free_path_keeps_every_check_on_n():
+    # SearchSpec.run skips the polynomial checks it did when the spec was
+    # built, but not one on n: the same ValueError, with frobenius_test's
+    # message, at n = 1, 2, an even n and 23 (gcd(n, f(0)*delta) = n).
+    spec = SearchSpec("frobenius")
+    for n in (1, 2, 8, 23):
+        with pytest.raises(ValueError) as expected:
+            frobenius_test(n, CUBIC)
+        message = re.escape(str(expected.value))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec.run(n)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_number(n, "frobenius", out=io.StringIO())

@@ -238,6 +238,32 @@ def test_factorize_certifies_a_whole_prime_after_one_chain(monkeypatch):
     assert chains[0] == 2 and len(chains) > 1
 
 
+def test_factorize_certifies_a_prime_piece_after_one_chain(monkeypatch):
+    # A piece of 10^8 or more that the gcd step does not leave whole has the
+    # chain exponent n - 1, not piece - 1, so no chain is a strong test of
+    # it; is_prime_baseline settles it right after base 2's chain, and n
+    # costs no more modular powers than the prime piece alone.
+    calls = []
+
+    def counting_pow(*args):
+        if len(args) == 3:
+            calls.append(sys._getframe(1).f_code.co_name)
+        return pow(*args)
+
+    monkeypatch.setattr(primesig.modarith, "pow", counting_pow, raising=False)
+    for small, prime in ((2, 2**127 - 1), (3, 2**89 - 1)):
+        calls.clear()
+        assert factorize(prime).as_dict() == {prime: 1}
+        alone = len(calls)
+        calls.clear()
+        assert factorize(small * prime).as_dict() == {small: 1, prime: 1}
+        assert calls.count("_miller_split") == 1 and len(calls) == alone == 13, (small, calls)
+    # 13537 * 27073 * 40609 is a strong pseudoprime to base 2: is_prime_baseline
+    # rejects it and the piece still splits into its primes.
+    assert factorize(2 * 13537 * 27073 * 40609).as_dict() == {
+        2: 1, 13537: 1, 27073: 1, 40609: 1}
+
+
 def test_factorize_falls_back_to_rho_on_other_input(monkeypatch):
     # Products of 2-4 primes in (10**4, 10**6) that are not Carmichael
     # numbers, among them a square, a cube and even n (n - 1 odd, s = 0).

@@ -7,8 +7,8 @@ import pytest
 
 from primesig import discriminant
 
-from primesig.polymod import (_compose_mod, _gcmd, _pdivmod_monic, _ppow_monic, _reduce,
-                              _require_monic, _require_squarefree, _xpow)
+from primesig.polymod import (_compose_mod, _gcmd, _gcmd_minus_x, _pdivmod_monic, _ppow_monic,
+                              _reduce, _require_monic, _require_squarefree, _xpow)
 
 from naive_frobenius import _divmod as naive_divmod
 from naive_frobenius import _powmod as naive_powmod
@@ -165,6 +165,52 @@ def test_gcmd_never_fails_over_prime_modulus():
         if not any(a) and not any(b):
             continue
         assert _gcmd(a, b, p)[0] == "found"
+
+
+def test_gcmd_minus_x_on_cubics_matches_gcmd():
+    # The unrolled cubic Euclid must return exactly what _gcmd returns on
+    # power - x: the same factor from the same failed inversion, or the
+    # same monic gcd.  Moduli with small factors let each inversion and the
+    # final constant expose one; f may be unreduced, as root recovery
+    # passes it, and power may be [] or leave power - x below degree 2.
+    rng = random.Random(71)
+    moduli = [7, 9, 15, 21, 25, 45, 49, 105, 225, 1155, 15015, 65537, 2**61 - 1]
+    outcomes = {}
+    for trial in range(12000):
+        n = rng.choice(moduli + [rng.randrange(3, 1 << 140)])
+        t, m0, m1, k = (rng.randrange(n) for _ in range(4))
+        # f = (x + t)(x^2 + m1*x + m0), unreduced for every third trial.
+        f = [t * m0, m0 + t * m1, m1 + t, 1]
+        if trial % 3 == 0:
+            f = [c + rng.randint(-2, 2) * n for c in f[:3]] + [1]
+        shape = trial % 8
+        if shape == 0:
+            power = []
+        elif shape == 1:
+            power = _reduce([rng.randrange(n) for _ in range(2)], n)
+        elif shape == 2:
+            power = [rng.randrange(n), 1]  # power - x is a constant
+        elif shape == 3:
+            power = _xpow(rng.randrange(1, 1 << 70), f, n)
+        elif shape == 4:  # power - x = k*(x^2 + m1*x + m0)
+            power = _reduce([k * m0, k * m1 + 1, k], n)
+        elif shape == 5:  # power - x = k*(x + t)(x + u)
+            u = rng.randrange(n)
+            power = _reduce([k * t * u, k * (t + u) + 1, k], n)
+        else:
+            power = _reduce([rng.randrange(n) for _ in range(2)] + [rng.randrange(1, n)], n)
+        g = list(power) + [0] * (2 - len(power))
+        g[1] -= 1
+        got = _gcmd_minus_x(power, f, n)
+        assert got == _gcmd(g, f, n), (power, f, n)
+        if got[0] == "factor":
+            key = "lead" if len(power) == 3 and math.gcd(power[2], n) > 1 else "factor"
+        else:
+            key = len(got[1])
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # Each way out is common: a factor from the leading coefficient or
+    # from a later step, the unit gcd, a root and a quadratic.
+    assert min(outcomes.get(key, 0) for key in ("lead", "factor", 1, 2, 3)) >= 200, outcomes
 
 
 def test_poly_compose_mod():
