@@ -52,15 +52,10 @@ def _rs_and_poly(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return rs, poly
 
 
-def _spec_from_args(args) -> SearchSpec:
-    rs, poly = _rs_and_poly(args)
-    return SearchSpec(args.test, *rs, poly=poly)
-
-
 def _cmd_search(args) -> int:
-    spec = _spec_from_args(args)
+    rs, poly = _rs_and_poly(args)
     summary = run_range_search(
-        args.start, args.stop, spec,
+        args.start, args.stop, SearchSpec(args.test, *rs, poly=poly),
         workers=args.workers,
         out_path=args.out,
         checkpoint_path=args.checkpoint,

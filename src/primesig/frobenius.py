@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .modarith import is_prime_baseline, jacobi
 from .polymod import (_compose_mod, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce,
-                      _require_monic, _require_squarefree, _trim, _xpow)
+                      _require_monic, _require_squarefree, _xpow)
 
 __all__ = [
     "PROBABLE_PRIME",
@@ -141,11 +141,11 @@ def _factorization_step(n: int, cs: Sequence[int]) -> FactorizationStepResult:
 
 
 def frobenius_step(n: int, parts) -> FrobeniusStepResult:
-    """Check F_i(x^n) = 0 mod (n, F_i) for every nontrivial part i >= 2."""
+    """Check F_i(x^n) = 0 mod (n, F_i) for each nontrivial part i >= 2 (monic)."""
     _require_odd(n)
     for i, part in enumerate(parts, start=1):
-        f_i = _trim(list(part))
-        if i < 2 or len(f_i) < 2:
+        f_i = _require_monic(part, 0) if i > 1 else []
+        if len(f_i) < 2:
             continue
         if _compose_mod(f_i, _xpow(n, f_i, n), n):
             return FrobeniusStepResult(True, failing_index=i)

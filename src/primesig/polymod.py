@@ -15,9 +15,9 @@ square-and-multiply kernels, one for x^e (where multiplying is a shift)
 and one for g^e with any g, and an unrolled Euclid on scalars for a
 quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
 other degrees share the generic product, remainder and _gcmd.
-_require_monic is the one check that an integer polynomial from a caller
-is monic of a given minimum degree, and _require_squarefree the one
-check that it also has no repeated root and no root 0.
+_require_monic is the one check that a caller's polynomial is monic with
+integer coefficients and a given minimum degree, and _require_squarefree
+the one check that it also has no repeated root and no root 0.
 
 The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by the subresultant pseudo-remainder
@@ -29,6 +29,7 @@ the same one at every n.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -62,9 +63,12 @@ def _pmul(a: list[int], b: list[int], n: int) -> list[int]:
 
 
 def _require_monic(coeffs: Sequence[int], min_degree: int) -> list[int]:
-    # The trimmed integer coefficients, or ValueError unless they form a
-    # monic polynomial of degree >= min_degree.
-    cs = _trim([int(c) for c in coeffs])
+    # The trimmed integer coefficients, or ValueError unless they are
+    # integers that form a monic polynomial of degree >= min_degree.
+    try:
+        cs = _trim([operator.index(c) for c in coeffs])
+    except TypeError:
+        raise ValueError(f"polynomial {tuple(coeffs)} must have integer coefficients") from None
     if len(cs) <= min_degree or cs[-1] != 1:
         raise ValueError(f"polynomial must be monic of degree >= {min_degree}")
     return cs

@@ -7,11 +7,11 @@ objects, one per line, all integers rendered as decimal strings, field
 order fixed, UTF-8 with LF endings; the bytes are identical for any
 worker count and across kill/resume at block boundaries.
 
-SearchSpec knows each test: where it applies, how to run it and its
-discriminant.  record turns a test result into a record, for the scans
-and for `primesig verify` alike; the one difference is that a scan adds
-the signature class to a weak hit (when gcd(delta, n) = 1) before
-building its record.
+SearchSpec knows each test: the polynomial f it reads, where it applies,
+how to run it and its discriminant.  record turns a test result into a
+record, for the scans and for `primesig verify` alike; the one difference
+is that a scan adds the class of the full test to a weak hit (when
+gcd(delta, n) = 1) before building its record.
 
 Each block gets one marking pass (_mark_block), then the test.  The pass
 marks each odd n of the block 0 when it is prime and 1 when it is
@@ -21,9 +21,10 @@ A(n) != r mod p, by one rule for each p: since A(p*m) = A(m) mod p, all
 odd multiples p*m are marked 2, then the classes of m with A(m) = r mod p
 get their marks back.  Frobenius scans get the sieve alone.  A composite
 the test refuses is an odd multiple n >= 3q of a q in SearchSpec.refusers,
-so applies is asked only there; each refused n is marked 3.  The test runs
-on the n still marked 1, and the outcome counts are those of the marks:
-0 prime, 3 not-applicable, 2 rejected:prefilter, 1 rejected:test or flagged.
+the odd primes of |f(0)*delta|, so applies is asked only there; each
+refused n is marked 3.  The test runs on the n still marked 1, and the
+outcome counts are those of the marks: 0 prime, 3 not-applicable,
+2 rejected:prefilter, 1 rejected:test or flagged.
 
 The range is cut into fixed-size blocks (default 2**16), dealt round
 robin: with procs = min(workers, blocks left), block j of a run goes to
@@ -57,8 +58,8 @@ from dataclasses import dataclass, field, replace
 
 from .frobenius import PROBABLE_PRIME, FrobeniusReport, _frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, factorize, is_prime_baseline, jacobi
-from .perrin import (PerrinResult, RecurrenceParams, classify_signature, perrin_test,
-                     exact_terms, residue_tables, residue_walk, signature)
+from .perrin import (PerrinResult, RecurrenceParams, exact_terms, perrin_test, residue_tables,
+                     residue_walk)
 from .polymod import _require_squarefree
 
 __all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
@@ -86,12 +87,12 @@ class SearchSpec:
     """Which test a scan runs, plus its parameters.
 
     The one place that knows each test: where it applies (applies), how
-    to run it (run), its recurrence (params, from r and s) and the
-    discriminant whose Jacobi symbol its records carry (delta: of poly
-    for frobenius, of the cubic of params for the Perrin tests), computed
-    when the spec is built, and refusers, when a scan first reads it; a
-    frobenius spec keeps poly as the validator trims it, so that its
-    records and hash do not depend on trailing zeros."""
+    to run it (run), its recurrence (params, from r and s), the polynomial
+    its test reads (poly: the cubic of params for the Perrin tests) and the
+    discriminant its records' Jacobi symbol reads (delta, of poly), both
+    from one check when the spec is built, and refusers, when a scan first
+    reads it.  poly is kept as that check trims it, so records and hash do
+    not depend on trailing zeros; Perrin records and hash still read r, s."""
 
     test: str
     r: int = 0
@@ -105,11 +106,9 @@ class SearchSpec:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
         params = RecurrenceParams(self.r, self.s)
         # A bad spec would otherwise scan to completion with no meaningful flag.
-        if self.test == "frobenius":
-            poly, delta = _require_squarefree(self.poly, 2)
-            object.__setattr__(self, "poly", tuple(poly))
-        else:
-            delta = _require_squarefree(params.poly, 2)[1]
+        poly, delta = _require_squarefree(
+            self.poly if self.test == "frobenius" else params.poly, 2)
+        object.__setattr__(self, "poly", tuple(poly))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "delta", delta)
 
@@ -123,11 +122,11 @@ class SearchSpec:
 
     @functools.cached_property
     def refusers(self) -> tuple[int, ...]:
-        """The odd primes q of delta (perrin-full) or f(0)*delta (frobenius),
-        none for perrin-weak: applies is False at an odd composite n only if
-        some q | n, so n >= 3q.  (1,), every odd n, where it is 2^64 or more."""
-        read = {"perrin-full": self.delta, "frobenius": self.poly[0] * self.delta}
-        if (number := abs(read.get(self.test, 1))) >= 1 << 64:
+        """The odd primes q of |f(0)*delta| (|delta| for perrin-full), none
+        for perrin-weak: applies is False at an odd composite n only if some
+        q | n, so n >= 3q.  (1,), every odd n, where that number is 2^64 or more."""
+        number = 1 if self.test == "perrin-weak" else abs(self.poly[0] * self.delta)
+        if number >= 1 << 64:
             return (1,)
         return tuple(q for q in factorize(number).primes() if q > 2) if number > 1 else ()
 
@@ -182,11 +181,9 @@ def _record_for(n: int, spec: SearchSpec) -> dict | None:
     if not (result.verdict == PROBABLE_PRIME if spec.test == "frobenius" else result.passes):
         return None
     if spec.test == "perrin-weak" and math.gcd(spec.delta, n) == 1:
-        # Weak hits are rare enough to afford the full classification as
+        # Weak hits are rare enough to afford the full test's class as
         # extra evidence; it is recorded, never asserted.
-        params = spec.params
-        result = replace(result, signature_class=classify_signature(
-            params, n, signature(params, n, n)))
+        result = replace(result, signature_class=perrin_test(spec.params, n).signature_class)
     return record(n, spec, result)
 
 

@@ -102,6 +102,15 @@ def test_frobenius_rejects_bad_inputs():
         frobenius_test(9, (1, 0, 2))  # not monic
     with pytest.raises(ValueError, match="not squarefree"):
         frobenius_test(9, (1, 2, 1))  # (x + 1)^2
+    with pytest.raises(ValueError, match="integer coefficients"):
+        frobenius_test(7, (-1.5, -1, 0, 1))  # no truncation to x^3 - x - 1
+
+
+def test_frobenius_step_checks_the_parts_it_reads():
+    # Read unchecked, the part 2x^2 + 2 would declare the prime 7 composite.
+    with pytest.raises(ValueError, match="monic"):
+        frobenius.frobenius_step(7, [(1,), (2, 0, 2)])
+    assert not frobenius.frobenius_step(7, [(1,), (1, 0, 1)]).declared_composite
 
 
 def test_report_shape():

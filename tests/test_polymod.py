@@ -278,6 +278,10 @@ def test_discriminant_rejects_degenerate_input():
         discriminant((0, 0, 2))  # not monic
     with pytest.raises(ValueError):
         discriminant((5,))
+    # Coefficients are integers, never parsed from text or truncated.
+    for coeffs in (("1", 0, 1), (-1, -1, 0.5, 1)):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            discriminant(coeffs)
     # Memoised results must not swallow a repeated bad call.
     for _ in range(2):
         with pytest.raises(ValueError):

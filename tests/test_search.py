@@ -119,6 +119,38 @@ def test_spec_keeps_the_polynomial_as_validated():
     assert verify_number(5777, "frobenius", poly=(-1, -1, 1, 0), out=io.StringIO()) == rec
 
 
+def test_spec_takes_integer_coefficients_only():
+    # Truncated, these coefficients would scan x^3 - x - 1.
+    with pytest.raises(ValueError, match="integer coefficients"):
+        SearchSpec("frobenius", poly=(-1.9, -1, 0, 1.2))
+
+
+def test_perrin_specs_hold_their_own_cubic():
+    # Every spec keeps the polynomial its test reads, whatever its (r, s).
+    accepted = 0
+    for test in ("perrin-weak", "perrin-full"):
+        for r in range(-3, 4):
+            for s in range(-3, 4):
+                try:
+                    spec = SearchSpec(test, r, s)
+                except ValueError:
+                    continue
+                assert spec.poly == RecurrenceParams(r, s).poly, (test, r, s)
+                accepted += 1
+    # All but (3, 3) and (-1, -1), whose cubics have a repeated root.
+    assert accepted == 2 * 47
+
+
+def test_canonical_text_is_pinned():
+    # The checkpoint hash is taken of this text, so any change to it
+    # orphans every checkpoint on disk.  Perrin specs are named by r and s.
+    assert SearchSpec("perrin-full", -2, 3).canonical() == "test=perrin-full;rs=-2,3"
+    assert SearchSpec("frobenius", poly=(-5, 0, 1, 0)).canonical() == "test=frobenius;poly=-5,0,1"
+    text = "v3;from=3;to=5000;block=1000;test=perrin-weak;rs=0,-1"
+    assert search._params_hash(3, 5000, SearchSpec("perrin-weak"), 1000) == hashlib.sha256(
+        text.encode()).hexdigest()
+
+
 def test_frobenius_scan_finds_known_pseudoprime(tmp_path):
     out, _, summary = run(
         tmp_path,
