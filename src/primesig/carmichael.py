@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .frobenius import _splits_completely
 from .modarith import Factorization, factorize
-from .polymod import _discriminant, _require_monic
+from .polymod import _discriminant, _require_poly
 
 __all__ = [
     "KorseltCertificate",
@@ -97,13 +97,13 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     ramified prime does not split, so it yields a negative answer rather
     than an error, even for an f with a repeated root.
     """
-    cs = _require_monic(coeffs, 1)
+    f = _require_poly(coeffs, 1)
     cert = korselt(n)
     if not cert.validates:
         return CarmichaelFrobeniusResult(cert, (), cert.failure_reason)
-    delta = _discriminant(tuple(cs))
+    delta = _discriminant(f)
     # factorize has certified every prime of the factorization.
-    evidence = [SplittingEvidence(p, _splits_completely(p, cs), ramified=delta % p == 0)
+    evidence = [SplittingEvidence(p, _splits_completely(p, f), ramified=delta % p == 0)
                 for p in cert.factorization.primes()]
     bad = [str(e.p) for e in evidence if not e.splits]
     reason = f"no complete splitting at {','.join(bad)}" if bad else None

@@ -69,7 +69,8 @@ def _cmd_search(args) -> int:
 def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
                   poly: tuple[int, ...] = (-1, -1, 0, 1), out=None) -> dict:
     """Run one test against n, print human-readable evidence plus the
-    machine record, and return the record."""
+    machine record, and return the record.  Of rs and poly, only the one
+    the test reads is passed on."""
     out = out if out is not None else sys.stdout
     if test == "korselt":
         cert = korselt(n)
@@ -89,7 +90,7 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             "verdict": "pass" if cert.validates else "fail",
         }
     else:
-        spec = SearchSpec(test, *rs, poly=poly)
+        spec = SearchSpec(test, poly=poly) if test == "frobenius" else SearchSpec(test, *rs)
         result = spec.run(n)
         rec = record(n, spec, result)
         if test == "frobenius":

@@ -34,7 +34,7 @@ from itertools import compress, islice
 from .carmichael import KorseltCertificate, SplittingEvidence, carmichael_frobenius
 from .frobenius import _splits_completely
 from .modarith import factorize, is_prime_baseline
-from .polymod import _require_squarefree, _trim
+from .polymod import _require_poly
 
 __all__ = [
     "ConstructionParams",
@@ -63,7 +63,8 @@ class ConstructionParams:
     capped by x_bound.  Subsets have sizes 3..t_max.  The
     meet-in-the-middle search makes at most budget new table entries, each
     a subset of at most t_max members of one half, and then examines at
-    most budget pairs of entries.
+    most budget pairs of entries.  poly is kept as the one polynomial
+    check returns it.
     """
 
     y: int
@@ -78,7 +79,7 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         issues = []
         try:
-            _require_squarefree(self.poly, 1)
+            object.__setattr__(self, "poly", _require_poly(self.poly, 1, squarefree=True))
         except ValueError as exc:
             issues.append(str(exc))
         if self.y < 2:
@@ -181,7 +182,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    cs = _require_squarefree(poly, 1)[0]
+    f = _require_poly(poly, 1, squarefree=True)
     divs = _divisors(L)
     best: tuple[int, list[int]] | None = None
     for k in range(k_range[0], k_range[1] + 1):
@@ -194,7 +195,7 @@ def find_k_and_primes(L: int, poly, k_range: tuple[int, int],
                 break  # divisors ascend, so every later p is too big
             if p == 2 or L % p == 0 or not is_prime_baseline(p):
                 continue
-            if _splits_completely(p, cs):
+            if _splits_completely(p, f):
                 pool.append(p)
         if best is None or len(pool) > len(best[1]):
             best = (k, pool)
@@ -307,10 +308,9 @@ def construct(params: ConstructionParams) -> ConstructionResult:
     if not search.subsets:
         result.diagnostics.append("subset stage: no subset product is 1 mod L")
         return result
-    cs = _trim(list(params.poly))
     for subset in search.subsets:
         n = math.prod(subset)
-        check = carmichael_frobenius(n, cs)
+        check = carmichael_frobenius(n, params.poly)
         if not check:
             result.diagnostics.append(f"re-verification rejected {n}: {check.reason}")
             continue
@@ -318,7 +318,7 @@ def construct(params: ConstructionParams) -> ConstructionResult:
             result.diagnostics.append(f"re-verification rejected {n}: congruence")
             continue
         result.certificates.append(ConstructionCertificate(
-            n, subset, k, L, check.korselt, check.splitting, tuple(cs)))
+            n, subset, k, L, check.korselt, check.splitting, params.poly))
     return result
 
 

@@ -12,22 +12,21 @@ splits_completely answers, for a certified prime p, whether f falls into
 distinct linear factors mod p; that is the local condition the
 Carmichael constructor needs.
 
-Each public function validates its input and then calls a check-free
-helper: _factorization_step for coefficients already checked monic,
-_frobenius_test for the coefficients and discriminant that
-_require_squarefree returned (SearchSpec.run passes those of its spec and
-keeps every check on n), and _splits_completely for a certified prime.
+Each public function checks its coefficients once, by polymod's one
+polynomial check; a Poly passed on (by frobenius_test to
+factorization_step, by SearchSpec.run to frobenius_test) is not checked
+again coefficient by coefficient.  _splits_completely skips the
+primality check on certified p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .modarith import is_prime_baseline, jacobi
-from .polymod import (_compose_mod, _gcmd_minus_x, _pdivmod_monic, _ppow_monic, _reduce,
-                      _require_monic, _require_squarefree, _xpow)
+from .polymod import (Poly, _compose_mod, _discriminant, _gcmd_minus_x, _pdivmod_monic,
+                      _ppow_monic, _require_poly, _xpow)
 
 __all__ = [
     "PROBABLE_PRIME",
@@ -104,14 +103,9 @@ def factorization_step(n: int, coeffs) -> FactorizationStepResult:
     raises it to the n-th power, so the exponent never materializes.
     """
     _require_odd(n)
-    return _factorization_step(n, _require_monic(coeffs, 2))
-
-
-def _factorization_step(n: int, cs: Sequence[int]) -> FactorizationStepResult:
-    # factorization_step for an odd n > 1 and coefficients already checked
-    # monic of degree >= 2.
-    d = len(cs) - 1
-    remaining = _reduce(cs, n)
+    # f as checked: each kernel reads the cofactor's coefficients mod n.
+    remaining = _require_poly(coeffs, 2)
+    d = len(remaining) - 1
     degrees: list[int] = []
     parts: list[tuple[int, ...]] = []
     for i in range(d):
@@ -134,7 +128,7 @@ def _factorization_step(n: int, cs: Sequence[int]) -> FactorizationStepResult:
         if rem:
             raise RuntimeError("gcmd result does not divide its inputs")
         remaining = quot if quot else [1 % n]
-    if remaining != [1]:
+    if len(remaining) > 1:
         return FactorizationStepResult(
             True, tuple(degrees), tuple(parts), reason="leftover-cofactor")
     return FactorizationStepResult(False, tuple(degrees), tuple(parts))
@@ -144,7 +138,7 @@ def frobenius_step(n: int, parts) -> FrobeniusStepResult:
     """Check F_i(x^n) = 0 mod (n, F_i) for each nontrivial part i >= 2 (monic)."""
     _require_odd(n)
     for i, part in enumerate(parts, start=1):
-        f_i = _require_monic(part, 0) if i > 1 else []
+        f_i = _require_poly(part, 0) if i > 1 else ()
         if len(f_i) < 2:
             continue
         if _compose_mod(f_i, _xpow(n, f_i, n), n):
@@ -179,31 +173,26 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
     strictly between 1 and n is itself composite evidence, while
     gcd = n means the test does not apply and raises ValueError.
     """
-    return _frobenius_test(n, *_require_squarefree(coeffs, 2))
-
-
-def _frobenius_test(n: int, cs: Sequence[int], delta: int) -> FrobeniusReport:
-    # frobenius_test for coefficients and discriminant that
-    # _require_squarefree has returned; every check on n stays.
+    f = _require_poly(coeffs, 2, squarefree=True)
     _require_odd(n)
-    poly = tuple(cs)
-    g = math.gcd(n, cs[0] * delta)
+    delta = _discriminant(f)
+    g = math.gcd(n, f[0] * delta)
     if g == n:
         raise ValueError(f"gcd(n, f(0)*delta) = n; test does not apply to {n}")
     if g > 1:
-        return FrobeniusReport(n, poly, COMPOSITE, "precondition", (), factor_found=g)
-    fact = _factorization_step(n, cs)
+        return FrobeniusReport(n, f, COMPOSITE, "precondition", (), factor_found=g)
+    fact = factorization_step(n, f)
     if fact.declared_composite:
-        return FrobeniusReport(n, poly, COMPOSITE, "factorization", fact.degrees,
+        return FrobeniusReport(n, f, COMPOSITE, "factorization", fact.degrees,
                                factor_found=fact.factor_found)
     frob = frobenius_step(n, fact.parts)
     if frob.declared_composite:
-        return FrobeniusReport(n, poly, COMPOSITE, "frobenius", fact.degrees)
+        return FrobeniusReport(n, f, COMPOSITE, "frobenius", fact.degrees)
     jac = jacobi_step(fact.degrees, delta, n)
     if jac.declared_composite:
-        return FrobeniusReport(n, poly, COMPOSITE, "jacobi", fact.degrees,
+        return FrobeniusReport(n, f, COMPOSITE, "jacobi", fact.degrees,
                                jacobi_s=jac.parity_sum)
-    return FrobeniusReport(n, poly, PROBABLE_PRIME, None, fact.degrees,
+    return FrobeniusReport(n, f, PROBABLE_PRIME, None, fact.degrees,
                            jacobi_s=jac.parity_sum)
 
 
@@ -217,11 +206,10 @@ def splits_completely(p: int, coeffs) -> bool:
     """
     if not is_prime_baseline(p):
         raise ValueError(f"{p} is not prime")
-    return _splits_completely(p, _require_monic(coeffs, 1))
+    return _splits_completely(p, _require_poly(coeffs, 1))
 
 
-def _splits_completely(p: int, cs: list[int]) -> bool:
-    # splits_completely for a p its caller has already certified prime and
-    # coefficients already checked monic.
-    f = _reduce(cs, p)
+def _splits_completely(p: int, f: Poly) -> bool:
+    """splits_completely without its one check that p is prime, for a p
+    its caller has certified; f is already a Poly."""
     return _xpow(p, f, p) == _pdivmod_monic([0, 1], f, p)[1]

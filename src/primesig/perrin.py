@@ -32,10 +32,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .modarith import jacobi
-from .polymod import _discriminant, _gcmd_minus_x, _ppow_monic, _xpow
+from .polymod import Poly, _discriminant, _gcmd_minus_x, _ppow_monic, _require_poly, _xpow
 
 __all__ = [
     "RecurrenceParams",
@@ -58,20 +58,23 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RecurrenceParams:
-    """Parameters (r, s) of the cubic x^3 - r*x^2 + s*x - 1."""
+    """Integer parameters (r, s) of the cubic x^3 - r*x^2 + s*x - 1, which
+    poly holds (lowest degree first) from one polynomial check when built."""
 
     r: int
     s: int
+    poly: Poly = field(init=False, repr=False, compare=False)
 
-    @property
-    def poly(self) -> tuple[int, int, int, int]:
-        # Coefficients lowest degree first.
-        return (-1, self.s, -self.r, 1)
+    def __post_init__(self):
+        try:
+            poly = _require_poly((-1, self.s, -self.r, 1), 3)
+        except (TypeError, ValueError):
+            raise ValueError(f"r and s must be integers, got {self.r!r}, {self.s!r}") from None
+        object.__setattr__(self, "poly", poly)
 
     @property
     def delta(self) -> int:
-        # Always taken from the cubic, through the one discriminant memo
-        # (poly is already a trimmed tuple); never stored independently.
+        # From the cubic, through the one discriminant memo; never stored.
         return _discriminant(self.poly)
 
 

@@ -2,7 +2,8 @@
 
 Polynomials are coefficient lists, lowest degree first, every
 coefficient reduced into [0, n), no trailing zeros; the zero polynomial is
-the empty list.  Remainders are only ever taken by monic divisors; _gcmd
+the empty list.  A monic modulus f may also be a Poly, unreduced: the
+kernels read its coefficients mod n.  Remainders are only ever taken by monic divisors; _gcmd
 makes each divisor monic first, and a failed inversion there is not an
 error but the outcome ("factor", d), because the gcd d it exposes is a
 nontrivial factor of the modulus.
@@ -15,9 +16,9 @@ square-and-multiply kernels, one for x^e (where multiplying is a shift)
 and one for g^e with any g, and an unrolled Euclid on scalars for a
 quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
 other degrees share the generic product, remainder and _gcmd.
-_require_monic is the one check that a caller's polynomial is monic with
-integer coefficients and a given minimum degree, and _require_squarefree
-the one check that it also has no repeated root and no root 0.
+_require_poly, the one polynomial check, returns a Poly, and nothing else
+makes one; a Poly handed back costs only the degree check and, when
+asked, reads of f(0) and of the discriminant memo.
 
 The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by the subresultant pseudo-remainder
@@ -37,7 +38,7 @@ __all__ = ["discriminant"]
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-list helpers.  Apart from _require_monic these skip
+# Coefficient-list helpers.  Apart from _require_poly these skip
 # validation; they are shared with the hot loops in the sequence and
 # Frobenius engines.
 
@@ -62,31 +63,28 @@ def _pmul(a: list[int], b: list[int], n: int) -> list[int]:
     return _trim([c % n for c in out])
 
 
-def _require_monic(coeffs: Sequence[int], min_degree: int) -> list[int]:
-    # The trimmed integer coefficients, or ValueError unless they are
-    # integers that form a monic polynomial of degree >= min_degree.
+class Poly(tuple):
+    """The trimmed integer coefficients of a monic polynomial, lowest degree
+    first, as _require_poly returned them; nothing else makes one."""
+
+
+def _require_poly(coeffs: Sequence[int], min_degree: int, squarefree: bool = False) -> Poly:
+    # coeffs as a Poly, or ValueError unless they are integers that form a
+    # monic polynomial of degree >= min_degree and, when squarefree, one
+    # with neither the root 0 nor a repeated root over the integers: either
+    # makes f(0)*delta = 0, so that no Frobenius test applies at any n.  A
+    # Poly was checked when it was made, so it is not converted again.
     try:
-        cs = _trim([operator.index(c) for c in coeffs])
+        f = coeffs if type(coeffs) is Poly else Poly(_trim([*map(operator.index, coeffs)]))
     except TypeError:
         raise ValueError(f"polynomial {tuple(coeffs)} must have integer coefficients") from None
-    if len(cs) <= min_degree or cs[-1] != 1:
+    if len(f) <= min_degree or f[-1] != 1:
         raise ValueError(f"polynomial must be monic of degree >= {min_degree}")
-    return cs
-
-
-def _require_squarefree(coeffs: Sequence[int],
-                        min_degree: int) -> tuple[list[int], int]:
-    # _require_monic's coefficients and their discriminant (1 for degree
-    # 1), or ValueError for a root 0 or a repeated root over the
-    # integers: either makes f(0)*delta = 0, so that no Frobenius test
-    # applies at any n.
-    cs = _require_monic(coeffs, min_degree)
-    if cs[0] == 0:
-        raise ValueError(f"polynomial {tuple(coeffs)} has the root 0")
-    delta = _discriminant(tuple(cs))
-    if delta == 0:
-        raise ValueError(f"polynomial {tuple(coeffs)} is not squarefree")
-    return cs, delta
+    if squarefree and f[0] == 0:
+        raise ValueError(f"polynomial {f} has the root 0")
+    if squarefree and _discriminant(f) == 0:
+        raise ValueError(f"polynomial {f} is not squarefree")
+    return f
 
 
 def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[int]]:
@@ -141,8 +139,10 @@ def _xpow(e: int, f: Sequence[int], n: int) -> list[int]:
 def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[int]:
     # g**e mod monic cubic f for e >= 1, g = [g0, g1, g2] reduced mod n.
     # g = None stands for x, whose multiply step is a shift.
-    # x^3 = c*x^2 + b*x + a in the ring.
+    # x^3 = c*x^2 + b*x + a in the ring, each its least absolute residue.
+    h = n >> 1
     a, b, c = -f[0] % n, -f[1] % n, -f[2] % n
+    a, b, c = a - n if a > h else a, b - n if b > h else b, c - n if c > h else c
     p0, p1, p2 = g0, g1, g2 = g if g is not None else (0, 1, 0)
     for bit in bin(e)[3:]:
         # Square, then fold x^4 and x^3 back into degrees <= 2.
@@ -206,7 +206,7 @@ def _gcmd_minus_x(power: list[int], f: Sequence[int], n: int):
     # satisfy a^k = a.  For a cubic f and a quadratic power - x this is
     # _gcmd's Euclid unrolled on scalars, with the same gcds and inversions
     # in the same order, so it returns what _gcmd would.
-    g = list(power) + [0] * (2 - len(power))
+    g = power + [0] * (2 - len(power))
     g[1] -= 1
     if len(f) != 4 or len(g) != 3:
         return _gcmd(g, f, n)
@@ -259,7 +259,7 @@ def discriminant(coeffs: Sequence[int]) -> int:
     Exact integer value: (-1)**(d*(d-1)/2) times the resultant of f and
     its derivative (the leading coefficient is 1, so no further division).
     """
-    return _discriminant(tuple(_require_monic(coeffs, 2)))
+    return _discriminant(_require_poly(coeffs, 2))
 
 
 @lru_cache(maxsize=64)

@@ -56,11 +56,11 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from .frobenius import PROBABLE_PRIME, FrobeniusReport, _frobenius_test
+from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, factorize, is_prime_baseline, jacobi
-from .perrin import (PerrinResult, RecurrenceParams, exact_terms, perrin_test, residue_tables,
-                     residue_walk)
-from .polymod import _require_squarefree
+from .perrin import (PERRIN, PerrinResult, RecurrenceParams, exact_terms, perrin_test,
+                     residue_tables, residue_walk)
+from .polymod import _discriminant, _require_poly
 
 __all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
            "OUTCOMES", "CheckpointMismatch"]
@@ -92,7 +92,9 @@ class SearchSpec:
     discriminant its records' Jacobi symbol reads (delta, of poly), both
     from one check when the spec is built, and refusers, when a scan first
     reads it.  poly is kept as that check trims it, so records and hash do
-    not depend on trailing zeros; Perrin records and hash still read r, s."""
+    not depend on trailing zeros; Perrin records and hash still read r, s.
+    A parameter the test does not read must keep its default (poly may be
+    a Perrin test's own cubic), or ValueError is raised."""
 
     test: str
     r: int = 0
@@ -104,13 +106,19 @@ class SearchSpec:
     def __post_init__(self):
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}; expected one of {TESTS}")
-        params = RecurrenceParams(self.r, self.s)
         # A bad spec would otherwise scan to completion with no meaningful flag.
-        poly, delta = _require_squarefree(
-            self.poly if self.test == "frobenius" else params.poly, 2)
-        object.__setattr__(self, "poly", tuple(poly))
+        if self.test == "frobenius":
+            if (self.r, self.s) != (0, -1):
+                raise ValueError("r and s are read by the Perrin tests only, not by frobenius")
+            params, poly = PERRIN, self.poly
+        else:
+            params = RecurrenceParams(self.r, self.s)
+            if self.poly not in ((-1, -1, 0, 1), params.poly):
+                raise ValueError(f"poly is read by frobenius only, not by {self.test}")
+            poly = params.poly
+        object.__setattr__(self, "poly", _require_poly(poly, 2, squarefree=True))
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", _discriminant(self.poly))
 
     def applies(self, n: int) -> bool:
         """Whether the test is defined at the odd composite n."""
@@ -133,7 +141,7 @@ class SearchSpec:
     def run(self, n: int) -> PerrinResult | FrobeniusReport:
         """The test's result at n."""
         if self.test == "frobenius":
-            return _frobenius_test(n, self.poly, self.delta)
+            return frobenius_test(n, self.poly)
         return perrin_test(self.params, n, mode=self.test[len("perrin-"):])
 
     @property

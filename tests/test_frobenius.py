@@ -9,11 +9,16 @@ from primesig import (
     COMPOSITE,
     PERRIN,
     PROBABLE_PRIME,
+    ConstructionParams,
     FrobeniusReport,
     RecurrenceParams,
     SearchSpec,
+    carmichael_frobenius,
     classify_signature,
+    discriminant,
     factorization_step,
+    find_k_and_primes,
+    frobenius_step,
     frobenius_test,
     jacobi_step,
     signature,
@@ -27,7 +32,9 @@ from naive_frobenius import naive_frobenius
 from oracles import sieve
 
 CUBIC = (-1, -1, 0, 1)  # x^3 - x - 1
-SUITE = [(1, 0, 1), (-1, -1, 1), CUBIC, (-2, 0, 0, 1)]
+# x^3 - 3x + 1 has positive lower coefficients, which the cubic kernel
+# folds by their least absolute residues.
+SUITE = [(1, 0, 1), (-1, -1, 1), CUBIC, (-2, 0, 0, 1), (1, -3, 0, 1)]
 
 
 def test_factorization_step_degree_patterns():
@@ -177,7 +184,7 @@ def test_agrees_with_naive_twin_at_large_n():
     full_rounds = 0
     seen = set()
     for n in cases:
-        for coeffs in (CUBIC, (-2, 0, 0, 1)):
+        for coeffs in (CUBIC, (-2, 0, 0, 1), (1, -3, 0, 1)):
             mine = frobenius_test(n, coeffs)
             verdict, degrees = naive_frobenius(n, coeffs)
             assert mine.verdict == verdict, (n, coeffs)
@@ -300,10 +307,11 @@ def test_cubic_euclid_keeps_every_root_recovery(monkeypatch):
         assert sum(klass.kind == "Q" for klass in mine) >= 200 and len(recovered) >= 300, params
 
 
-def test_check_free_path_keeps_every_check_on_n():
-    # SearchSpec.run skips the polynomial checks it did when the spec was
-    # built, but not one on n: the same ValueError, with frobenius_test's
-    # message, at n = 1, 2, an even n and 23 (gcd(n, f(0)*delta) = n).
+def test_spec_run_keeps_every_check_on_n():
+    # SearchSpec.run hands frobenius_test the Poly it checked when the spec
+    # was built, which skips no check on n: the same ValueError, with
+    # frobenius_test's message, at n = 1, 2, an even n and 23
+    # (gcd(n, f(0)*delta) = n).
     spec = SearchSpec("frobenius")
     for n in (1, 2, 8, 23):
         with pytest.raises(ValueError) as expected:
@@ -313,3 +321,34 @@ def test_check_free_path_keeps_every_check_on_n():
             spec.run(n)
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_number(n, "frobenius", out=io.StringIO())
+
+
+# Every public entry point that takes coefficients, called with f.
+ENTRY_POINTS = {
+    "frobenius_test": lambda f: frobenius_test(7, f),
+    "factorization_step": lambda f: factorization_step(7, f),
+    "frobenius_step": lambda f: frobenius_step(7, [(1,), f]),
+    "splits_completely": lambda f: splits_completely(7, f),
+    "discriminant": discriminant,
+    "carmichael_frobenius": lambda f: carmichael_frobenius(561, f),
+    "find_k_and_primes": lambda f: find_k_and_primes(12, f, (1, 5), 1000),
+    "ConstructionParams": lambda f: ConstructionParams(3, (3, 8), 1, 10, 3000, 5, poly=f),
+    "SearchSpec": lambda f: SearchSpec("frobenius", poly=f),
+    "verify_number": lambda f: verify_number(7, "frobenius", poly=f, out=io.StringIO()),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_still_check_input_equal_to_a_checked_poly(name):
+    # A checked polynomial is a tuple equal to (-1, -1, 0, 1), and so are
+    # these floats; a memo keyed on tuple equality must not let them in.
+    call = ENTRY_POINTS[name]
+    checked = SearchSpec("frobenius", poly=CUBIC).poly
+    call(checked)
+    for coeffs in ((-1.0, -1, 0, 1), (-1, -1, 0, 1.0)):
+        assert coeffs == checked
+        with pytest.raises(ValueError, match="integer coefficients"):
+            call(coeffs)
+        call(checked)
+    with pytest.raises(ValueError, match="monic"):
+        call((-1, -1, 0, 2))

@@ -15,7 +15,7 @@ from primesig import (
     sequence_term,
     signature,
 )
-from primesig import perrin
+from primesig import perrin, polymod
 from primesig.perrin import _recover_root, exact_terms, residue_tables, residue_walk
 
 from oracles import (recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping,
@@ -368,3 +368,18 @@ def test_terms_of_a_huge_r_are_not_starved_by_the_bit_budget():
     r = params.r % 1009
     assert sig.values == tuple(recurrence_term(r, 3, k, 1009)
                                for k in (-1010, -1009, -1008, 1008, 1009, 1010))
+
+
+def test_params_take_integer_r_and_s_only(monkeypatch):
+    # A float r would make weak mode call the prime 7 a failure and full
+    # mode raise TypeError, so the params refuse it when built, as they do
+    # a float s right after the equal integer params were built.
+    assert RecurrenceParams(0, -1) == PERRIN
+    for r, s in ((0.5, -1), (0, -1.0), (-0.0, -1), ("1", 0), (0, None)):
+        with pytest.raises(ValueError, match="r and s must be integers"):
+            RecurrenceParams(r, s)
+    # The check reads types only: building computes no discriminant.
+    monkeypatch.setattr(perrin, "_discriminant", None)
+    monkeypatch.setattr(polymod, "_discriminant", None)
+    params = RecurrenceParams((1 << (1 << 22)) + 5, 3)
+    assert params.poly[1:] == (3, -params.r, 1)

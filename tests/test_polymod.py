@@ -7,8 +7,8 @@ import pytest
 
 from primesig import discriminant
 
-from primesig.polymod import (_compose_mod, _gcmd, _gcmd_minus_x, _pdivmod_monic, _ppow_monic,
-                              _reduce, _require_monic, _require_squarefree, _xpow)
+from primesig.polymod import (Poly, _compose_mod, _discriminant, _gcmd, _gcmd_minus_x,
+                              _pdivmod_monic, _ppow_monic, _reduce, _require_poly, _xpow)
 
 from naive_frobenius import _divmod as naive_divmod
 from naive_frobenius import _powmod as naive_powmod
@@ -78,24 +78,32 @@ def test_poly_powmod_matches_repeated_multiplication():
 def test_xpow_matches_generic_powmod():
     # Cubics take the shift kernel here and the general cubic kernel in
     # _ppow_monic; every other degree takes the generic loop in both.
+    # f is reduced mod n, or has small coefficients of either sign, as
+    # given or reduced.
     rng = random.Random(37)
     for degree in (3, 3, 3, 1, 2, 4, 5):
         for _ in range(40):
-            n = rng.randint(2, 1 << rng.choice((8, 64, 140)))
-            f = [rng.randrange(n) for _ in range(degree)] + [1]
+            n = rng.choice((2, rng.randint(2, 1 << rng.choice((8, 64, 140)))))
+            small = [rng.randint(-3, 3) for _ in range(degree)]
+            f = rng.choice(([rng.randrange(n) for _ in range(degree)], small,
+                            [c % n for c in small])) + [1]
             e = rng.choice((0, 1, 2, 3, rng.randint(0, 1 << 140)))
             assert _xpow(e, f, n) == _ppow_monic([0, 1], e, f, n), (degree, n, e)
 
 
 def test_ppow_monic_cubic_matches_naive_powmod():
     # The unrolled cubic g**e kernel against the dict-polynomial oracle,
-    # including even moduli, n = 2, g = 0 and the smallest exponents.
+    # including even moduli, n = 2, g = 0 and the smallest exponents, for
+    # f reduced mod n or with small coefficients of either sign, as given
+    # or reduced (the kernel folds with their least absolute residues).
     rng = random.Random(41)
-    for _ in range(150):
+    for _ in range(300):
         n = rng.choice((2, 4, rng.randint(3, 1 << 20), rng.randint(3, 1 << 140)))
         if rng.random() < 0.2:
             n += n % 2  # even
-        f = [rng.randrange(n) for _ in range(3)] + [1]
+        small = [rng.randint(-3, 3) for _ in range(3)]
+        f = rng.choice(([rng.randrange(n) for _ in range(3)], small,
+                        [c % n for c in small])) + [1]
         g = rng.choice(([], [0, 0, 0], [rng.randrange(n) for _ in range(rng.randint(1, 5))]))
         e = rng.choice((0, 1, 2, rng.randint(3, 100), rng.randint(0, 1 << 140)))
         ref = naive_powmod({d: c for d, c in enumerate(g) if c % n}, e,
@@ -237,12 +245,17 @@ def test_compose_mod_matches_naive_substitute():
         assert _compose_mod(f, g, n) == as_list(ref), (n, f, g)
 
 
-def test_require_monic():
-    assert _require_monic((-1, -1, 0, 1, 0, 0), 2) == [-1, -1, 0, 1]
+def test_require_poly_checks_monic_degree():
+    assert _require_poly((-1, -1, 0, 1, 0, 0), 2) == (-1, -1, 0, 1)
     for coeffs, min_degree in (((1, 2), 1), ((3,), 1), ((1,), 1), ((), 1),
                                ((5, 1), 2), ((1, 0, 2), 2), ((0, 0, 2, 0), 1)):
         with pytest.raises(ValueError, match="monic of degree >= "):
-            _require_monic(coeffs, min_degree)
+            _require_poly(coeffs, min_degree)
+    # A Poly is checked once: handed back, only its degree is read again.
+    f = _require_poly([-1, -1, 0, 1], 2)
+    assert type(f) is Poly and _require_poly(f, 3) is f
+    with pytest.raises(ValueError, match="monic of degree >= 4"):
+        _require_poly(f, 4)
 
 
 def test_discriminant_known_values():
@@ -266,9 +279,16 @@ def test_discriminant_of_a_huge_perrin_cubic():
     assert delta == r * r * s * s - 4 * s ** 3 - 4 * r ** 3 + 18 * r * s - 27
 
 
-def test_require_squarefree_gives_every_degree_its_discriminant():
-    assert _require_squarefree((-7, 1), 1) == ([-7, 1], 1)
-    assert _require_squarefree((-1, -1, 0, 1, 0), 2) == ([-1, -1, 0, 1], -23)
+def test_require_poly_squarefree_gives_every_degree_its_discriminant():
+    for coeffs, plain, delta in (((-7, 1), (-7, 1), 1), ((-1, -1, 0, 1, 0), (-1, -1, 0, 1), -23)):
+        f = _require_poly(coeffs, 1, squarefree=True)
+        assert f == plain and _discriminant(f) == delta
+        assert _require_poly(f, 1, squarefree=True) is f
+    # A Poly made without the squarefree check still gets it when asked.
+    for coeffs, message in (((0, -1, 0, 1), "has the root 0"), ((1, 2, 1), "not squarefree")):
+        f = _require_poly(coeffs, 2)
+        with pytest.raises(ValueError, match=message):
+            _require_poly(f, 2, squarefree=True)
 
 
 def test_discriminant_rejects_degenerate_input():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -149,6 +150,77 @@ def test_canonical_text_is_pinned():
     text = "v3;from=3;to=5000;block=1000;test=perrin-weak;rs=0,-1"
     assert search._params_hash(3, 5000, SearchSpec("perrin-weak"), 1000) == hashlib.sha256(
         text.encode()).hexdigest()
+
+
+def test_spec_refuses_a_parameter_its_test_does_not_read():
+    # Accepted, the first would scan x^3 - x - 1 and hash rs=0,-1, and the
+    # second would keep an unread r and s.
+    for test in ("perrin-weak", "perrin-full"):
+        with pytest.raises(ValueError, match="poly is read by frobenius only"):
+            SearchSpec(test, poly=(1, 0, 1))
+    for rs in ((5, 7), (5, -1), (0, 7)):
+        with pytest.raises(ValueError, match="read by the Perrin tests only"):
+            SearchSpec("frobenius", *rs)
+    # A Perrin spec may be given its own cubic, so it rebuilds from its fields.
+    spec = SearchSpec("perrin-full", -2, 3)
+    assert dataclasses.replace(spec) == spec == SearchSpec("perrin-full", -2, 3, poly=spec.poly)
+    # verify_number takes both keywords and passes on the one its test reads.
+    for test, kept in (("perrin-weak", {"rs": (1, 2)}), ("frobenius", {"poly": (-1, -1, 1)})):
+        both = verify_number(5777, test, rs=(1, 2), poly=(-1, -1, 1), out=io.StringIO())
+        assert both == verify_number(5777, test, **kept, out=io.StringIO())
+
+
+# Checkpoints and records that an earlier version of this package, before
+# Poly, wrote for the scans below, each cut after 8 of 16 blocks of 500
+# while the records of block 9 were on disk: the resume must take them.
+PINNED_CHECKPOINTS = [
+    (SearchSpec("perrin-weak", -2, 0),
+     '{"version": 2, "hash": "a099d0f26f6cba2a0021c063694cb43896dcbffadacda87e411215029e35b006", '
+     '"from": "3", "to": "8000", "block_size": 500, "blocks_done": 8, "bytes_written": 316, '
+     '"outcomes": {"prime": 550, "not-applicable": 0, "rejected:prefilter": 1406, '
+     '"rejected:test": 40, "flagged": 4}}',
+     b'{"n":"705","test":"perrin-weak","rs":"-2,0","verdict":"pass","jacobi":"0"}\n'
+     b'{"n":"2465","test":"perrin-weak","rs":"-2,0","verdict":"pass","jacobi":"0"}\n'
+     b'{"n":"2737","test":"perrin-weak","rs":"-2,0","verdict":"pass","class":"S","jacobi":"-1"}\n'
+     b'{"n":"3745","test":"perrin-weak","rs":"-2,0","verdict":"pass","jacobi":"0"}\n'
+     b'{"n":"4181","test":"perrin-weak","rs":"-2,0","verdict":"pass","class":"S","jacobi":"1"}\n'
+     b'{"n":"5777","test":"perrin-weak","rs":"-2,0","verdict":"pass","class":"Q[a=5776]",'
+     b'"jacobi":"-1"}\n'
+     b'{"n":"6721","test":"perrin-weak","rs":"-2,0","verdict":"pass","class":"S","jacobi":"1"}\n'),
+    (SearchSpec("perrin-full", -2, 3),
+     '{"version": 2, "hash": "cc5a5510b3b2b4a4779434a42cd85978627481406cf1baf0ab5821a568a0dfea", '
+     '"from": "3", "to": "8000", "block_size": 500, "blocks_done": 8, "bytes_written": 0, '
+     '"outcomes": {"prime": 550, "not-applicable": 627, "rejected:prefilter": 798, '
+     '"rejected:test": 25, "flagged": 0}}',
+     b''),
+    (SearchSpec("frobenius", poly=(-1, -1, 1)),
+     '{"version": 2, "hash": "00d7c374ad4c2d83b73c4e3226df1dceff5d868975d397e5267b2ee7b39efbdc", '
+     '"from": "3", "to": "8000", "block_size": 500, "blocks_done": 8, "bytes_written": 0, '
+     '"outcomes": {"prime": 550, "not-applicable": 0, "rejected:prefilter": 0, '
+     '"rejected:test": 1450, "flagged": 0}}',
+     b'{"n":"4181","test":"frobenius","poly":"-1,-1,1","verdict":"probable-prime",'
+     b'"degrees":"2,0","jacobi":"1"}\n'
+     b'{"n":"5777","test":"frobenius","poly":"-1,-1,1","verdict":"probable-prime",'
+     b'"degrees":"0,2","jacobi":"-1"}\n'
+     b'{"n":"6721","test":"frobenius","poly":"-1,-1,1","verdict":"probable-prime",'
+     b'"degrees":"2,0","jacobi":"1"}\n'),
+]
+
+
+@pytest.mark.parametrize("spec,checkpoint,records", PINNED_CHECKPOINTS,
+                         ids=[spec.test for spec, _, _ in PINNED_CHECKPOINTS])
+def test_checkpoints_written_before_resume_to_the_same_bytes(tmp_path, spec, checkpoint, records):
+    offset = json.loads(checkpoint)["bytes_written"]
+    out, ckpt = tmp_path / "r.jsonl", tmp_path / "r.ckpt"
+    # The records of block 9, after the checkpoint's offset, were on disk.
+    out.write_bytes(records[:records.index(b"\n", offset) + 1] if records[offset:] else records)
+    ckpt.write_text(checkpoint + "\n")
+    kwargs = dict(start=3, stop=8000, spec=spec, block_size=500)
+    resumed = run_range_search(out_path=str(out), checkpoint_path=str(ckpt), resume=True,
+                               **kwargs)
+    assert out.read_bytes() == records
+    whole = run_range_search(out_path=str(tmp_path / "whole.jsonl"), **kwargs)
+    assert resumed["outcomes"] == whole["outcomes"] and resumed["completed"]
 
 
 def test_frobenius_scan_finds_known_pseudoprime(tmp_path):
