@@ -17,12 +17,11 @@ once; integer lists (poly) are comma-separated decimals.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .carmichael import korselt
 from .constructor import PRESETS, ConstructionParams, construct
-from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, record, run_range_search
+from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, _compact_json, record, run_range_search
 
 __all__ = ["main", "verify_number", "run_construct_job", "parse_params_file"]
 
@@ -62,7 +61,7 @@ def _cmd_search(args) -> int:
         resume=args.resume,
         block_size=args.block_size,
     )
-    print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
+    print(_compact_json(summary), file=sys.stderr)
     return 0
 
 
@@ -111,7 +110,7 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
                 print(f"class {result.signature_class}, jacobi {result.jacobi_symbol}",
                       file=out)
             print(f"{test}: {rec['verdict']}", file=out)
-    print("record: " + json.dumps(rec, separators=(",", ":")), file=out)
+    print("record: " + _compact_json(rec), file=out)
     return rec
 
 
@@ -170,7 +169,7 @@ def run_construct_job(params: ConstructionParams, out=None, err=None) -> int:
     for note in result.diagnostics:
         print(f"construct: {note}", file=err)
     for cert in result.certificates:
-        print(json.dumps(cert.to_record(), separators=(",", ":")), file=out)
+        print(_compact_json(cert.to_record()), file=out)
     print(f"construct: {len(result.certificates)} certificate(s)", file=err)
     return 0 if result.certificates else 2
 

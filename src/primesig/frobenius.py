@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .modarith import is_prime_baseline, jacobi
-from .polymod import (Poly, _compose_mod, _discriminant, _gcmd_minus_x, _pdivmod_monic,
+from .polymod import (Poly, _compose_mod, _gcmd_minus_x, _pdivmod_monic,
                       _ppow_monic, _require_poly, _xpow)
 
 __all__ = [
@@ -175,7 +175,7 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
     """
     f = _require_poly(coeffs, 2, squarefree=True)
     _require_odd(n)
-    delta = _discriminant(f)
+    delta = f.delta
     g = math.gcd(n, f[0] * delta)
     if g == n:
         raise ValueError(f"gcd(n, f(0)*delta) = n; test does not apply to {n}")

@@ -18,13 +18,15 @@ since the roots multiply to 1, A(-k) = (A(k)^2 - A(2k))/2.  An odd n
 whose signature mod n looks prime-like is sorted into one of three
 shapes (S, I, Q) matching the three splitting types of the cubic.
 
-For the range scans' prefilter, a cheap necessary condition that
-rejects most composites before either test runs: since A(p*m) = A(m)
-mod p, the scans keep an odd multiple p*m of a prime p only where
+One lemma rejects most composites without a power: A(p*m) = A(m) mod p
+for every prime p and every m >= 0 (residue_walk proves it), so n = p*m
+with A(m) != r mod p fails both tests.  Weak mode reads it at each odd
+prime p <= 59 dividing its n before it takes x^n; the range scans read
+it for a whole block, keeping an odd multiple p*m only where
 A(m) = r mod p.  residue_tables gives those m over one period for each
-odd prime p <= 59, residue_walk gives A(m), A(m + 2), ... mod any larger
-prime p, and exact_terms gives A(0), A(1), ... as integers, read mod the
-one large prime factor of n.
+odd prime p <= 59, built per prime on first use, residue_walk gives
+A(m), A(m + 2), ... mod any larger prime p, and exact_terms gives
+A(0), A(1), ... as integers, read mod the one large prime factor of n.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _cubic(r: int, s: int) -> Poly:
+    # The Poly of x^3 - r*x^2 + s*x - 1, converted once per (r, s); typed,
+    # so that a float key equal to an int one is still refused.
+    return _require_poly((-1, s, -r, 1), 3)
+
+
 @dataclass(frozen=True)
 class RecurrenceParams:
     """Integer parameters (r, s) of the cubic x^3 - r*x^2 + s*x - 1, which
@@ -67,7 +76,7 @@ class RecurrenceParams:
 
     def __post_init__(self):
         try:
-            poly = _require_poly((-1, self.s, -self.r, 1), 3)
+            poly = _cubic(self.r, self.s)
         except (TypeError, ValueError):
             raise ValueError(f"r and s must be integers, got {self.r!r}, {self.s!r}") from None
         object.__setattr__(self, "poly", poly)
@@ -151,11 +160,33 @@ def signature(params: RecurrenceParams, n: int, m: int) -> Signature:
     return Signature(m, tuple(neg[::-1] + [a % m for a in pos]), n)
 
 
-# Odd primes whose residue tables the range scans read.
+# Odd primes whose residue tables the range scans and the weak test read,
+# and their product, whose gcd with n holds the ones that divide n.
 _TABLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+_TABLE_PRODUCT = math.prod(_TABLE_PRIMES)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1024)
+def _table_primes(g: int) -> tuple[int, ...]:
+    return tuple(p for p in _TABLE_PRIMES if g % p == 0)
+
+
+@functools.lru_cache(maxsize=256)
+def _residue_table(r: int, s: int, p: int) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    # (T, hits) of residue_tables for one p, built on first use, and hits
+    # as a set; keyed by (r, s) for the reason _exact_table gives.
+    r, s = r % p, s % p
+    a, b, c = start = (3 % p, r, (r * r - 2 * s) % p)
+    period = []
+    while True:
+        period.append(a)
+        a, b, c = b, c, (r * c - s * b + a) % p
+        if (a, b, c) == start:
+            break
+    hits = tuple(k for k, a in enumerate(period) if a == r)
+    return len(period), hits, frozenset(hits)
+
+
 def residue_tables(params: RecurrenceParams) -> dict[int, tuple[int, tuple[int, ...]]]:
     """{p: (T, hits)} for each odd prime p <= 59, where T is the period
     of A mod p and hits are the k < T with A(k) = r mod p.
@@ -163,22 +194,10 @@ def residue_tables(params: RecurrenceParams) -> dict[int, tuple[int, tuple[int, 
     A(k) mod p is purely periodic: the cubic's constant term is -1, so
     the step (A(k), A(k+1), A(k+2)) -> (A(k+1), A(k+2), A(k+3)) is
     invertible mod p and the window comes back to (A(0), A(1), A(2)).
-    So A(k) = r mod p iff k % T is in hits.  The dict is shared; a
-    caller reads, never writes it.
+    So A(k) = r mod p iff k % T is in hits.  The tables are shared; a
+    caller reads, never writes them.
     """
-    out = {}
-    for p in _TABLE_PRIMES:
-        start = tuple(a % p for a in exact_terms(params, 3)[:3])
-        r, s = params.r % p, params.s % p
-        a, b, c = start
-        period = []
-        while True:
-            period.append(a)
-            a, b, c = b, c, (r * c - s * b + a) % p
-            if (a, b, c) == start:
-                break
-        out[p] = (len(period), tuple(k for k, a in enumerate(period) if a == r))
-    return out
+    return {p: _residue_table(params.r, params.s, p)[:2] for p in _TABLE_PRIMES}
 
 
 def residue_walk(params: RecurrenceParams, p: int, m: int, count: int) -> list[int]:
@@ -308,7 +327,9 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
     """Signature test at n.
 
     Weak mode (any n >= 2) checks the classical congruence A(n) = r
-    mod n, which every acceptable signature shares at position 5.  Full
+    mod n, which every acceptable signature shares at position 5.  It
+    reads the residue table of each prime p <= 59 dividing n first, and
+    fails n without a power where A(n/p) != r mod p.  Full
     mode (odd n, gcd(n, delta) = 1) requires the signature class to
     match the Jacobi symbol of the discriminant: S or I when
     (delta/n) = 1, Q when (delta/n) = -1.  Every prime passes both
@@ -318,7 +339,13 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if mode == "weak":
-        # A(n) is the trace of x^n, so one power of x decides the test.
+        # A(n) = A(n/p) mod p for each table prime p | n (residue_walk), so
+        # a miss in p's table fails n; else the trace of x^n decides.
+        g = math.gcd(n, _TABLE_PRODUCT)
+        for p in _table_primes(g) if g > 1 else ():
+            period, _, hits = _residue_table(params.r, params.s, p)
+            if n // p % period not in hits:
+                return PerrinResult(False, None, None)
         passes = _terms(params, _xpow(n, params.poly, n), n, 1)[0] == params.r % n
         j = jacobi(params.delta, n) if passes and n % 2 else None
         return PerrinResult(passes, None, j)

@@ -18,7 +18,8 @@ quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
 other degrees share the generic product, remainder and _gcmd.
 _require_poly, the one polynomial check, returns a Poly, and nothing else
 makes one; a Poly handed back costs only the degree check and, when
-asked, reads of f(0) and of the discriminant memo.
+asked, reads of f(0) and of its discriminant, which the first squarefree
+check keeps on it.
 
 The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by the subresultant pseudo-remainder
@@ -65,7 +66,8 @@ def _pmul(a: list[int], b: list[int], n: int) -> list[int]:
 
 class Poly(tuple):
     """The trimmed integer coefficients of a monic polynomial, lowest degree
-    first, as _require_poly returned them; nothing else makes one."""
+    first, as _require_poly returned them; nothing else makes one.  Once
+    checked squarefree, it carries its discriminant in delta."""
 
 
 def _require_poly(coeffs: Sequence[int], min_degree: int, squarefree: bool = False) -> Poly:
@@ -82,8 +84,12 @@ def _require_poly(coeffs: Sequence[int], min_degree: int, squarefree: bool = Fal
         raise ValueError(f"polynomial must be monic of degree >= {min_degree}")
     if squarefree and f[0] == 0:
         raise ValueError(f"polynomial {f} has the root 0")
-    if squarefree and _discriminant(f) == 0:
-        raise ValueError(f"polynomial {f} is not squarefree")
+    if squarefree:
+        delta = getattr(f, "delta", None)
+        if delta is None:
+            f.delta = delta = _discriminant(f)
+        if delta == 0:
+            raise ValueError(f"polynomial {f} is not squarefree")
     return f
 
 

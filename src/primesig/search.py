@@ -60,7 +60,7 @@ from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, factorize, is_prime_baseline, jacobi
 from .perrin import (PERRIN, PerrinResult, RecurrenceParams, exact_terms, perrin_test,
                      residue_tables, residue_walk)
-from .polymod import _discriminant, _require_poly
+from .polymod import _require_poly
 
 __all__ = ["SearchSpec", "record", "run_range_search", "DEFAULT_BLOCK_SIZE", "TESTS",
            "OUTCOMES", "CheckpointMismatch"]
@@ -71,6 +71,10 @@ TESTS = ("perrin-weak", "perrin-full", "frobenius")
 
 # One per scanned n; their counts add up to the number of n scanned.
 OUTCOMES = ("prime", "not-applicable", "rejected:prefilter", "rejected:test", "flagged")
+
+# The one compact encoder of records and summaries, which cli imports too:
+# json.dumps(x, separators=...) would build a new encoder at every call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class CheckpointMismatch(RuntimeError):
@@ -118,7 +122,7 @@ class SearchSpec:
             poly = params.poly
         object.__setattr__(self, "poly", _require_poly(poly, 2, squarefree=True))
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "delta", _discriminant(self.poly))
+        object.__setattr__(self, "delta", self.poly.delta)
 
     def applies(self, n: int) -> bool:
         """Whether the test is defined at the odd composite n."""
@@ -311,7 +315,7 @@ def _scan_block(start: int, stop: int, spec: SearchSpec, block_size: int,
     while i >= 0:
         rec = _record_for(first + 2 * i, spec)
         if rec is not None:
-            lines.append(json.dumps(rec, separators=(",", ":")))
+            lines.append(_compact_json(rec))
         i = marks.find(1, i + 1)
     counts = {"prime": marks.count(0), "not-applicable": marks.count(3),
               "rejected:prefilter": marks.count(2),

@@ -18,8 +18,8 @@ from primesig import (
 from primesig import perrin, polymod
 from primesig.perrin import _recover_root, exact_terms, residue_tables, residue_walk
 
-from oracles import (recurrence_term, recurrence_window, sieve, weak_perrin_by_stepping,
-                     weak_perrin_by_stepping_many)
+from oracles import (jacobi_naive, recurrence_term, recurrence_window, sieve,
+                     weak_perrin_by_stepping, weak_perrin_by_stepping_many)
 
 
 def test_params_basics():
@@ -311,6 +311,53 @@ def test_weak_mode_computes_jacobi_only_for_passing_n(monkeypatch):
     assert calls == []
     assert perrin_test(PERRIN, 271441, mode="weak").jacobi_symbol == 1
     assert calls == [271441]
+
+
+@pytest.mark.parametrize("rs", [(0, -1), (1, 2), (-2, 3), (-2, 0), (3, -1), (1, 1)])
+def test_weak_mode_gives_the_answer_of_the_power_alone(rs):
+    # Weak mode reads the table of each prime p <= 59 dividing n before it
+    # takes x^n.  On every n, odd and even, its whole result is the one the
+    # power alone gives.  (1, 1) is (x - 1)(x^2 + 1): every odd n passes,
+    # with n/p past the end of p's table.
+    params = RecurrenceParams(*rs)
+    for n in range(2, 20001):
+        passes = sequence_term(params, n, n) == params.r % n
+        j = jacobi_naive(params.delta, n) if passes and n % 2 else None
+        assert perrin_test(params, n, "weak") == PerrinResult(passes, None, j), n
+    rng = random.Random(f"weak {rs}")
+    for n in rng.sample(range(2, 20001), 20):
+        want = recurrence_term(*rs, n, n) == params.r % n
+        assert perrin_test(params, n, "weak").passes == want, n
+
+
+def test_weak_mode_settles_a_table_miss_without_a_power(monkeypatch):
+    # 15 and 561 = 3*11*17 miss the table of 3; 904631 = 7*13*9941 and
+    # 16532714 = 2*11^2*53*1289 hit the tables of all their primes <= 59,
+    # so the power decides, and they pass.
+    powers = []
+    real = perrin._xpow
+
+    def counting(e, f, n):
+        powers.append(n)
+        return real(e, f, n)
+
+    monkeypatch.setattr(perrin, "_xpow", counting)
+    for n in (15, 561):
+        assert perrin_test(PERRIN, n, "weak") == PerrinResult(False, None, None)
+    assert powers == []
+    assert perrin_test(PERRIN, 904631, "weak") == PerrinResult(True, None, 1)
+    assert perrin_test(PERRIN, 16532714, "weak") == PerrinResult(True, None, None)
+    assert powers == [904631, 16532714]
+
+
+def test_weak_mode_builds_only_the_tables_of_the_primes_of_n():
+    perrin._residue_table.cache_clear()
+    assert not perrin_test(PERRIN, 15, "weak").passes
+    built = perrin._residue_table.cache_info().currsize
+    for p in (3, 5):
+        perrin._residue_table(PERRIN.r, PERRIN.s, p)
+    assert built >= 1 and perrin._residue_table.cache_info().currsize == 2
+    assert len(residue_tables(PERRIN)) == perrin._residue_table.cache_info().currsize == 16
 
 
 def test_sequence_term_matches_oracle_term_helper():

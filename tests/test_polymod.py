@@ -282,7 +282,7 @@ def test_discriminant_of_a_huge_perrin_cubic():
 def test_require_poly_squarefree_gives_every_degree_its_discriminant():
     for coeffs, plain, delta in (((-7, 1), (-7, 1), 1), ((-1, -1, 0, 1, 0), (-1, -1, 0, 1), -23)):
         f = _require_poly(coeffs, 1, squarefree=True)
-        assert f == plain and _discriminant(f) == delta
+        assert f == plain and _discriminant(f) == f.delta == delta
         assert _require_poly(f, 1, squarefree=True) is f
     # A Poly made without the squarefree check still gets it when asked.
     for coeffs, message in (((0, -1, 0, 1), "has the root 0"), ((1, 2, 1), "not squarefree")):
