@@ -20,9 +20,9 @@ shapes (S, I, Q) matching the three splitting types of the cubic.
 
 One lemma rejects most composites without a power: A(p*m) = A(m) mod p
 for every prime p and every m >= 0 (residue_walk proves it), so n = p*m
-with A(m) != r mod p fails both tests.  Weak mode reads it at each odd
-prime p <= 59 dividing its n before it takes x^n; the range scans read
-it for a whole block, keeping an odd multiple p*m only where
+with A(m) != r mod p fails both tests.  Weak mode reads it at each prime
+p <= 59 dividing its n, 2 included, before it takes x^n; the range scans
+read it for a whole block, keeping an odd multiple p*m only where
 A(m) = r mod p.  residue_tables gives those m over one period for each
 odd prime p <= 59, built per prime on first use, residue_walk gives
 A(m), A(m + 2), ... mod any larger prime p, and exact_terms gives
@@ -160,15 +160,15 @@ def signature(params: RecurrenceParams, n: int, m: int) -> Signature:
     return Signature(m, tuple(neg[::-1] + [a % m for a in pos]), n)
 
 
-# Odd primes whose residue tables the range scans and the weak test read,
-# and their product, whose gcd with n holds the ones that divide n.
+# Odd primes whose residue tables the range scans read.  The weak test
+# reads 2 as well; the gcd of n with their product holds those dividing n.
 _TABLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-_TABLE_PRODUCT = math.prod(_TABLE_PRIMES)
+_TABLE_PRODUCT = 2 * math.prod(_TABLE_PRIMES)
 
 
 @functools.lru_cache(maxsize=1024)
 def _table_primes(g: int) -> tuple[int, ...]:
-    return tuple(p for p in _TABLE_PRIMES if g % p == 0)
+    return tuple(p for p in (2, *_TABLE_PRIMES) if g % p == 0)
 
 
 @functools.lru_cache(maxsize=256)

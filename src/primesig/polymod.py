@@ -11,10 +11,14 @@ nontrivial factor of the modulus.
 This is the one engine for the rings Z/nZ[x]/(f): every power of x that
 the recurrence terms, the Frobenius stages, root recovery and splitting
 checks need comes from _xpow, and every gcmd(x^k - x, f) from
-_gcmd_minus_x.  A cubic f (the Perrin family) gets unrolled
-square-and-multiply kernels, one for x^e (where multiplying is a shift)
-and one for g^e with any g, and an unrolled Euclid on scalars for a
-quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
+_gcmd_minus_x.  Quadratics and cubics share one unrolled kernel for x^e
+and g^e: each product (a square, a square times x, or a reduced square
+times g) is folded back into degrees <= 2 unreduced, then each
+coefficient is reduced once.  A quadratic f runs on the cubic (x - 1)*f
+and is reduced by f once at the end; f divides (x - 1)*f, so reduction
+mod f is a ring map Z/nZ[x]/((x - 1)*f) -> Z/nZ[x]/(f) for every n.  A
+cubic f (the Perrin family) also gets an unrolled Euclid on scalars for
+a quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
 other degrees share the generic product, remainder and _gcmd.
 _require_poly, the one polynomial check, returns a Poly, and nothing else
 makes one; a Poly handed back costs only the degree check and, when
@@ -115,15 +119,15 @@ def _pdivmod_monic(a: list[int], f: list[int], n: int) -> tuple[list[int], list[
 
 def _ppow_monic(g: list[int], e: int, f: Sequence[int], n: int) -> list[int]:
     # g**e mod monic f, deg f >= 1, e >= 0, g reduced mod n (only its
-    # degree may reach deg f).  Cubics take the unrolled kernel, which
-    # carries the later Frobenius rounds and the signature.
+    # degree may reach deg f).  Quadratics and cubics take the unrolled
+    # kernel, which carries the later Frobenius rounds and the signature.
     if len(g) >= len(f):
         g = _pdivmod_monic(g, f, n)[1]
     if e == 0:
         return [1 % n]
     if not g:
         return []
-    if len(f) == 4:
+    if len(f) in (3, 4):
         return _cubic_pow(g + [0] * (3 - len(g)), e, f, n)
     result = g
     for bit in bin(e)[3:]:
@@ -134,40 +138,48 @@ def _ppow_monic(g: list[int], e: int, f: Sequence[int], n: int) -> list[int]:
 
 
 def _xpow(e: int, f: Sequence[int], n: int) -> list[int]:
-    # x**e mod monic f, deg f >= 1, e >= 0.  The unrolled cubic case is
-    # about three times faster than the generic loop, and cubics carry the
-    # census and the Perrin scans.
-    if len(f) != 4 or e == 0:
+    # x**e mod monic f, deg f >= 1, e >= 0.  The unrolled kernel is about
+    # three times faster than the generic loop, and quadratics and cubics
+    # carry the census, the Perrin scans and the Frobenius rounds.
+    if len(f) not in (3, 4) or e == 0:
         return _ppow_monic([0, 1], e, f, n)
     return _cubic_pow(None, e, f, n)
 
 
 def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[int]:
-    # g**e mod monic cubic f for e >= 1, g = [g0, g1, g2] reduced mod n.
-    # g = None stands for x, whose multiply step is a shift.
+    # g**e mod monic f of degree 3, or of degree 2 through (x - 1)*f, for
+    # e >= 1 and g = [g0, g1, g2] reduced mod n; g = None stands for x.
     # x^3 = c*x^2 + b*x + a in the ring, each its least absolute residue.
+    # Constants past the fourth root of n get t4 and t3 reduced first:
+    # unreduced, their products would cost more than the reductions saved.
     h = n >> 1
-    a, b, c = -f[0] % n, -f[1] % n, -f[2] % n
-    a, b, c = a - n if a > h else a, b - n if b > h else b, c - n if c > h else c
+    a, b, c = (f[0], f[1] - f[0], 1 - f[1]) if len(f) == 3 else (-f[0], -f[1], -f[2])
+    a, b, c = (a + h) % n - h, (b + h) % n - h, (c + h) % n - h
+    wide = (a * a + b * b + c * c) ** 2 > n
     p0, p1, p2 = g0, g1, g2 = g if g is not None else (0, 1, 0)
     for bit in bin(e)[3:]:
-        # Square, then fold x^4 and x^3 back into degrees <= 2.
-        t4 = p2 * p2 % n
-        t3 = (2 * p1 * p2 + c * t4) % n
-        p0, p1, p2 = ((p0 * p0 + a * t3) % n,
-                      (2 * p0 * p1 + a * t4 + b * t3) % n,
-                      (p1 * p1 + 2 * p0 * p2 + b * t4 + c * t3) % n)
+        # Square, fold x^4 and x^3 back into degrees <= 2, and on a set bit
+        # shift for x, all before one reduction of each coefficient.
+        t4 = p2 * p2 % n if wide else p2 * p2
+        t3 = 2 * p1 * p2 + c * t4
+        if wide:
+            t3 %= n
+        q0, q1, q2 = (p0 * p0 + a * t3, 2 * p0 * p1 + a * t4 + b * t3,
+                      p1 * p1 + 2 * p0 * p2 + b * t4 + c * t3)
+        if bit == "1" and g is None:
+            p0, p1, p2 = a * q2 % n, (q0 + b * q2) % n, (q1 + c * q2) % n
+            continue
+        p0, p1, p2 = q0 % n, q1 % n, q2 % n
         if bit == "1":
-            if g is None:
-                p0, p1, p2 = a * p2 % n, (p0 + b * p2) % n, (p1 + c * p2) % n
-            else:
-                # The 3x3 product, folded the same way.
-                t4 = p2 * g2 % n
-                t3 = (p1 * g2 + p2 * g1 + c * t4) % n
-                p0, p1, p2 = ((p0 * g0 + a * t3) % n,
-                              (p0 * g1 + p1 * g0 + a * t4 + b * t3) % n,
-                              (p0 * g2 + p1 * g1 + p2 * g0 + b * t4 + c * t3) % n)
-    return _trim([p0, p1, p2])
+            # The reduced square times g, folded the same way.
+            t4 = p2 * g2 % n if wide else p2 * g2
+            t3 = p1 * g2 + p2 * g1 + c * t4
+            if wide:
+                t3 %= n
+            p0, p1, p2 = ((p0 * g0 + a * t3) % n,
+                          (p0 * g1 + p1 * g0 + a * t4 + b * t3) % n,
+                          (p0 * g2 + p1 * g1 + p2 * g0 + b * t4 + c * t3) % n)
+    return _pdivmod_monic([p0, p1, p2], f, n)[1] if len(f) == 3 else _trim([p0, p1, p2])
 
 
 def _monic(g: list[int], n: int):

@@ -331,9 +331,11 @@ def test_weak_mode_gives_the_answer_of_the_power_alone(rs):
 
 
 def test_weak_mode_settles_a_table_miss_without_a_power(monkeypatch):
-    # 15 and 561 = 3*11*17 miss the table of 3; 904631 = 7*13*9941 and
-    # 16532714 = 2*11^2*53*1289 hit the tables of all their primes <= 59,
-    # so the power decides, and they pass.
+    # 15 and 561 = 3*11*17 miss the table of 3, and 146 = 2*73 that of 2;
+    # 904631 = 7*13*9941 and 16532714 = 2*11^2*53*1289 hit the tables of
+    # all their primes <= 59, so the power decides, and they pass.
+    misses = (15, 561, 146)
+    assert all(sequence_term(PERRIN, n, n) != 0 for n in misses)
     powers = []
     real = perrin._xpow
 
@@ -342,7 +344,7 @@ def test_weak_mode_settles_a_table_miss_without_a_power(monkeypatch):
         return real(e, f, n)
 
     monkeypatch.setattr(perrin, "_xpow", counting)
-    for n in (15, 561):
+    for n in misses:
         assert perrin_test(PERRIN, n, "weak") == PerrinResult(False, None, None)
     assert powers == []
     assert perrin_test(PERRIN, 904631, "weak") == PerrinResult(True, None, 1)

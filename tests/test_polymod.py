@@ -76,41 +76,70 @@ def test_poly_powmod_matches_repeated_multiplication():
 
 
 def test_xpow_matches_generic_powmod():
-    # Cubics take the shift kernel here and the general cubic kernel in
-    # _ppow_monic; every other degree takes the generic loop in both.
-    # f is reduced mod n, or has small coefficients of either sign, as
-    # given or reduced.
+    # Quadratics and cubics take the kernel's shift path here and its g
+    # path in _ppow_monic; every other degree takes the generic loop in
+    # both.  f is reduced mod n, has small coefficients of either sign, as
+    # given or reduced, or has coefficients as wide as n of either sign.
+    # n is 2, up to 546 bits, or doubled like the signature's modulus.
     rng = random.Random(37)
-    for degree in (3, 3, 3, 1, 2, 4, 5):
+    for degree in (3, 3, 3, 3, 1, 2, 2, 4, 5):
         for _ in range(40):
-            n = rng.choice((2, rng.randint(2, 1 << rng.choice((8, 64, 140)))))
+            n = rng.choice((2, rng.randint(2, 1 << rng.choice((8, 64, 140, 157, 546)))))
+            n *= rng.choice((1, 2))
             small = [rng.randint(-3, 3) for _ in range(degree)]
             f = rng.choice(([rng.randrange(n) for _ in range(degree)], small,
-                            [c % n for c in small])) + [1]
+                            [c % n for c in small],
+                            [rng.randrange(-n, n) for _ in range(degree)])) + [1]
             e = rng.choice((0, 1, 2, 3, rng.randint(0, 1 << 140)))
             assert _xpow(e, f, n) == _ppow_monic([0, 1], e, f, n), (degree, n, e)
 
 
+def naive_powmod_list(g, e, f, n):
+    # g**e mod (n, f) by the dict-polynomial oracle, as a reduced list.
+    ref = naive_powmod({d: c for d, c in enumerate(g) if c % n}, e,
+                       {d: c for d, c in enumerate(f) if c}, n)
+    return as_list({d: c % n for d, c in ref.items() if c % n})
+
+
 def test_ppow_monic_cubic_matches_naive_powmod():
     # The unrolled cubic g**e kernel against the dict-polynomial oracle,
-    # including even moduli, n = 2, g = 0 and the smallest exponents, for
-    # f reduced mod n or with small coefficients of either sign, as given
-    # or reduced (the kernel folds with their least absolute residues).
+    # including even moduli (the signature's 2n among them), n = 2, n of
+    # 157 and 546 bits, g = 0 and the smallest exponents, for f reduced
+    # mod n, with small coefficients of either sign, as given or reduced
+    # (the kernel folds with their least absolute residues), or with
+    # coefficients as wide as n of either sign.
     rng = random.Random(41)
     for _ in range(300):
-        n = rng.choice((2, 4, rng.randint(3, 1 << 20), rng.randint(3, 1 << 140)))
+        n = rng.choice((2, 4, rng.randint(3, 1 << 20), rng.randint(3, 1 << 140),
+                        rng.getrandbits(157) | 1 << 156, rng.getrandbits(546) | 1 << 545))
         if rng.random() < 0.2:
-            n += n % 2  # even
+            n *= 2
         small = [rng.randint(-3, 3) for _ in range(3)]
-        f = rng.choice(([rng.randrange(n) for _ in range(3)], small,
-                        [c % n for c in small])) + [1]
+        f = rng.choice(([rng.randrange(n) for _ in range(3)], small, [c % n for c in small],
+                        [rng.randrange(-n, n) for _ in range(3)])) + [1]
         g = rng.choice(([], [0, 0, 0], [rng.randrange(n) for _ in range(rng.randint(1, 5))]))
-        e = rng.choice((0, 1, 2, rng.randint(3, 100), rng.randint(0, 1 << 140)))
-        ref = naive_powmod({d: c for d, c in enumerate(g) if c % n}, e,
-                           {d: c for d, c in enumerate(f) if c}, n)
-        ref = {d: c % n for d, c in ref.items() if c % n}
-        expected = [ref.get(d, 0) for d in range(max(ref) + 1)] if ref else []
+        e = rng.choice((0, 1, 2, 3, rng.randint(3, 100), rng.randint(0, 1 << 140)))
+        assert _ppow_monic(g, e, f, n) == naive_powmod_list(g, e, f, n), (n, f, g, e)
+
+
+def test_quadratics_on_the_cubic_kernel_match_naive_powmod():
+    # A quadratic f runs on the cubic kernel mod (x - 1)*f and is reduced
+    # by f once at the end.  x^e and g^e against the dict-polynomial
+    # oracle, on moduli with small and large factors, even ones and n = 2,
+    # for f with small coefficients or ones as wide as n, of either sign.
+    rng = random.Random(43)
+    moduli = [2, 4, 6, 45, 1155, 2 * 65537, 3 * (2**61 - 1)]
+    for _ in range(400):
+        n = rng.choice(moduli + [rng.randint(3, 1 << 20), rng.getrandbits(157) | 1 << 156,
+                                 rng.getrandbits(546) | 1 << 545])
+        f = rng.choice(([rng.randint(-5, 5) for _ in range(2)],
+                        [rng.randrange(-n, n) for _ in range(2)])) + [1]
+        g = rng.choice(([], [0, 1], [rng.randrange(n) for _ in range(rng.randint(1, 4))]))
+        e = rng.choice((0, 1, 2, 3, rng.randint(4, 100), rng.randint(0, 1 << 140)))
+        expected = naive_powmod_list(g, e, f, n)
         assert _ppow_monic(g, e, f, n) == expected, (n, f, g, e)
+        if g == [0, 1]:
+            assert _xpow(e, f, n) == expected, (n, f, e)
 
 
 def test_gcmd_examples():
