@@ -106,7 +106,8 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             print(f"n = {n}, sequence parameters (r, s) = ({spec.r}, {spec.s}), "
                   f"discriminant {spec.delta}", file=out)
             if test == "perrin-full":
-                print(f"signature {result.signature.values}", file=out)
+                print(f"signature {result.signature.values}" if result.signature else
+                      "no signature computed: a table prime of n rules out A(n) = r", file=out)
                 print(f"class {result.signature_class}, jacobi {result.jacobi_symbol}",
                       file=out)
             print(f"{test}: {rec['verdict']}", file=out)

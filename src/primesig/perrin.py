@@ -20,13 +20,14 @@ shapes (S, I, Q) matching the three splitting types of the cubic.
 
 One lemma rejects most composites without a power: A(p*m) = A(m) mod p
 for every prime p and every m >= 0 (residue_walk proves it), so n = p*m
-with A(m) != r mod p fails both tests.  Weak mode reads it at each prime
-p <= 59 dividing its n, 2 included, before it takes x^n; the range scans
-read it for a whole block, keeping an odd multiple p*m only where
-A(m) = r mod p.  residue_tables gives those m over one period for each
-odd prime p <= 59, built per prime on first use, residue_walk gives
-A(m), A(m + 2), ... mod any larger prime p, and exact_terms gives
-A(0), A(1), ... as integers, read mod the one large prime factor of n.
+with A(m) != r mod p fails both tests, since every acceptable signature
+has A(n) = r at position 5.  Both modes read it at each prime p <= 59
+dividing n, 2 included, before their power; the range scans read it for
+a whole block, keeping an odd multiple p*m only where A(m) = r mod p.
+residue_tables gives those m over one period for each odd prime p <= 59,
+built per prime on first use, residue_walk gives A(m), A(m + 2), ... mod
+any larger prime p, and exact_terms gives A(0), A(1), ... as integers,
+read mod the one large prime factor of n.
 """
 
 from __future__ import annotations
@@ -187,6 +188,17 @@ def _residue_table(r: int, s: int, p: int) -> tuple[int, tuple[int, ...], frozen
     return len(period), hits, frozenset(hits)
 
 
+def _table_miss(params: RecurrenceParams, n: int) -> bool:
+    # A(n) = A(n/p) mod p for each table prime p | n (residue_walk), so a
+    # miss in p's table means A(n) != r mod n.
+    g = math.gcd(n, _TABLE_PRODUCT)
+    for p in _table_primes(g) if g > 1 else ():
+        period, _, hits = _residue_table(params.r, params.s, p)
+        if n // p % period not in hits:
+            return True
+    return False
+
+
 def residue_tables(params: RecurrenceParams) -> dict[int, tuple[int, tuple[int, ...]]]:
     """{p: (T, hits)} for each odd prime p <= 59, where T is the period
     of A mod p and hits are the k < T with A(k) = r mod p.
@@ -313,9 +325,9 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
 class PerrinResult:
     """Outcome of perrin_test: overall pass flag, the signature class
     (full mode only), the Jacobi symbol of the discriminant and the
-    signature mod n it was classified from (full mode only).  Full mode
-    always carries the symbol; weak mode only for an odd n that passes,
-    since only flagged n are recorded with it."""
+    signature mod n it was classified from (full mode, unless a table
+    prime settled n).  Full mode always carries the symbol; weak mode
+    only for an odd n that passes, the only n recorded with it."""
 
     passes: bool
     signature_class: SignatureClass | None
@@ -327,25 +339,20 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
     """Signature test at n.
 
     Weak mode (any n >= 2) checks the classical congruence A(n) = r
-    mod n, which every acceptable signature shares at position 5.  It
-    reads the residue table of each prime p <= 59 dividing n first, and
-    fails n without a power where A(n/p) != r mod p.  Full
+    mod n, which every acceptable signature shares at position 5.  Full
     mode (odd n, gcd(n, delta) = 1) requires the signature class to
     match the Jacobi symbol of the discriminant: S or I when
-    (delta/n) = 1, Q when (delta/n) = -1.  Every prime passes both
-    modes; composites that pass are the pseudoprimes this package
-    exists to hunt.
+    (delta/n) = 1, Q when (delta/n) = -1.  Both modes first read the
+    residue table of each prime p <= 59 dividing n, and fail n without a
+    power where A(n/p) != r mod p; full mode then gives the class
+    not-acceptable and signature None.  Every prime passes both modes;
+    composites that pass are the pseudoprimes this package exists to hunt.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if mode == "weak":
-        # A(n) = A(n/p) mod p for each table prime p | n (residue_walk), so
-        # a miss in p's table fails n; else the trace of x^n decides.
-        g = math.gcd(n, _TABLE_PRODUCT)
-        for p in _table_primes(g) if g > 1 else ():
-            period, _, hits = _residue_table(params.r, params.s, p)
-            if n // p % period not in hits:
-                return PerrinResult(False, None, None)
+        if _table_miss(params, n):
+            return PerrinResult(False, None, None)
         passes = _terms(params, _xpow(n, params.poly, n), n, 1)[0] == params.r % n
         j = jacobi(params.delta, n) if passes and n % 2 else None
         return PerrinResult(passes, None, j)
@@ -355,9 +362,11 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
             raise ValueError(f"full mode requires odd n, got {n}")
         if math.gcd(delta, n) != 1:
             raise ValueError(f"full mode requires gcd(n, delta) = 1, got n = {n}")
+        j = jacobi(delta, n)
+        if _table_miss(params, n):
+            return PerrinResult(False, NOT_ACCEPTABLE, j, None)
         sig = signature(params, n, n)
         klass = classify_signature(params, n, sig)
-        j = jacobi(delta, n)
         passes = (j == 1 and klass.kind in ("S", "I")) or (j == -1 and klass.kind == "Q")
         return PerrinResult(passes, klass, j, sig)
     raise ValueError(f"unknown mode {mode!r}; expected 'weak' or 'full'")

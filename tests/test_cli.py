@@ -115,6 +115,18 @@ def test_verify_perrin_full_computes_one_signature(monkeypatch):
     verify_number(271441, "perrin-full", out=sink)
     assert len(calls) == 1
     assert f"signature {real(perrin.PERRIN, 271441, 271441).values}" in sink.getvalue()
+    # 15 misses the table of 3: no signature, a note in its place, and the
+    # record the signature's class gives.
+    sink = io.StringIO()
+    verify_number(15, "perrin-full", out=sink)
+    assert len(calls) == 1
+    assert sink.getvalue().splitlines()[1:] == [
+        "no signature computed: a table prime of n rules out A(n) = r",
+        "class not-acceptable, jacobi -1",
+        "perrin-full: fail",
+        'record: {"n":"15","test":"perrin-full","rs":"0,-1","verdict":"fail",'
+        '"class":"not-acceptable","jacobi":"-1"}',
+    ]
 
 
 def test_missing_subcommand_is_usage_error():

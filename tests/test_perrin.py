@@ -352,6 +352,47 @@ def test_weak_mode_settles_a_table_miss_without_a_power(monkeypatch):
     assert powers == [904631, 16532714]
 
 
+@pytest.mark.parametrize("rs", [(0, -1), (1, 2), (-2, 3), (-2, 0), (3, -1), (1, 1)])
+def test_full_mode_gives_the_answer_of_the_signature(rs):
+    # Full mode reads the same tables before its power.  On every odd n
+    # coprime to delta, primes included, its verdict, class and symbol are
+    # those of the signature mod n; it carries that signature, or None
+    # where a table settled n.
+    params = RecurrenceParams(*rs)
+    for n in range(3, 20001, 2):
+        if math.gcd(n, params.delta) != 1:
+            continue
+        sig = signature(params, n, n)
+        klass = classify_signature(params, n, sig)
+        j = jacobi_naive(params.delta, n)
+        passes = (j == 1 and klass.kind in ("S", "I")) or (j == -1 and klass.kind == "Q")
+        res = perrin_test(params, n, "full")
+        assert (res.passes, res.signature_class, res.jacobi_symbol) == (passes, klass, j), n
+        assert res.signature in (None, sig), n
+
+
+def test_full_mode_settles_a_table_miss_without_a_power(monkeypatch):
+    # 15 and 561 miss the table of 3.  271441 has no prime <= 59, and
+    # 904631 = 7*13*9941 hits the tables of 7 and 13, so each takes the
+    # one power of its signature and comes out not-acceptable.
+    powers = []
+    real = perrin._xpow
+
+    def counting(e, f, n):
+        powers.append(n)
+        return real(e, f, n)
+
+    monkeypatch.setattr(perrin, "_xpow", counting)
+    for n, j in ((15, -1), (561, 1)):
+        assert perrin_test(PERRIN, n) == PerrinResult(False, NOT_ACCEPTABLE, j, None)
+    assert powers == []
+    for n in (271441, 904631):
+        res = perrin_test(PERRIN, n)
+        assert not res.passes and res.signature_class == NOT_ACCEPTABLE
+        assert res.signature is not None
+    assert powers == [2 * 271441, 2 * 904631]
+
+
 def test_weak_mode_builds_only_the_tables_of_the_primes_of_n():
     perrin._residue_table.cache_clear()
     assert not perrin_test(PERRIN, 15, "weak").passes
