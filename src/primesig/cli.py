@@ -6,8 +6,8 @@ Three subcommands:
   verify     run one test against one number and print the evidence
   construct  run the Carmichael constructor from a preset or params file
 
-verify prints a korselt record of its own; for the scan tests it prints
-the record search.record builds, the format that search writes.
+verify writes its evidence in one write, ending in a korselt record of its
+own or, for the scan tests, the record search.record builds, as search does.
 construct exits 0 when at least one certificate was emitted, 2 when a
 stage starved on valid parameters, and 1 on malformed input or invalid
 parameters.  Params files are flat key=value lines, each key at most
@@ -17,13 +17,20 @@ once; integer lists (poly) are comma-separated decimals.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
 
 from .carmichael import korselt
 from .constructor import PRESETS, ConstructionParams, construct
-from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, _compact_json, record, run_range_search
+from .polymod import _require_poly
+from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, _record_json, record, run_range_search
 
 __all__ = ["main", "verify_number", "run_construct_job", "parse_params_file"]
+
+# One spec per parameter set for verify_number; typed, so that a float equal to
+# an int still raises at every call, since lru_cache stores no exception.
+_spec = functools.lru_cache(maxsize=64, typed=True)(SearchSpec)
 
 
 def _parse_ints(text: str, name: str, count: int | None = None) -> tuple[int, ...]:
@@ -61,26 +68,24 @@ def _cmd_search(args) -> int:
         resume=args.resume,
         block_size=args.block_size,
     )
-    print(_compact_json(summary), file=sys.stderr)
+    print(json.dumps(summary, separators=(",", ":")), file=sys.stderr)
     return 0
 
 
 def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
                   poly: tuple[int, ...] = (-1, -1, 0, 1), out=None) -> dict:
-    """Run one test against n, print human-readable evidence plus the
-    machine record, and return the record.  Of rs and poly, only the one
-    the test reads is passed on."""
+    """Run one test against n, write human-readable evidence plus the
+    machine record to out in one write, and return the record.  Of rs and
+    poly, only the one the test reads is passed on."""
     out = out if out is not None else sys.stdout
     if test == "korselt":
         cert = korselt(n)
         factors = " * ".join(
             f"{p}^{e}" if e > 1 else str(p) for p, e in cert.factorization.factors)
-        print(f"n = {n} = {factors}", file=out)
-        print(f"squarefree: {cert.squarefree}", file=out)
-        for p, ok in cert.checks:
-            print(f"  p = {p}: p-1 | n-1 {'holds' if ok else 'FAILS'}", file=out)
+        text = f"n = {n} = {factors}\nsquarefree: {cert.squarefree}\n" + "".join(
+            f"  p = {p}: p-1 | n-1 {'holds' if ok else 'FAILS'}\n" for p, ok in cert.checks)
         verdict = "validates" if cert.validates else f"fails ({cert.failure_reason})"
-        print(f"korselt certificate {verdict}", file=out)
+        text += f"korselt certificate {verdict}\n"
         rec = {
             "n": str(n),
             "test": "korselt",
@@ -89,29 +94,32 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             "verdict": "pass" if cert.validates else "fail",
         }
     else:
-        spec = SearchSpec(test, poly=poly) if test == "frobenius" else SearchSpec(test, *rs)
+        if test == "frobenius":  # keyed on the checked Poly, whose coefficients are ints
+            spec = _spec(test, poly=_require_poly(poly, 2))
+        else:
+            try:
+                spec = _spec(test, *rs)
+            except TypeError:  # an unhashable r, s or test, which the spec names
+                spec = SearchSpec(test, *rs)
         result = spec.run(n)
         rec = record(n, spec, result)
         if test == "frobenius":
-            print(f"n = {n}, poly {rec['poly']}", file=out)
-            print(f"degrees {list(result.degrees)}", file=out)
+            text = f"n = {n}, poly {rec['poly']}\ndegrees {list(result.degrees)}\n"
             if result.factor_found:
-                print(f"factor found: {result.factor_found}", file=out)
+                text += f"factor found: {result.factor_found}\n"
             if result.jacobi_s is not None:
-                print(f"jacobi stage sum S = {result.jacobi_s}, "
-                      f"(delta/n) = {rec['jacobi']}", file=out)
+                text += f"jacobi stage sum S = {result.jacobi_s}, (delta/n) = {rec['jacobi']}\n"
             stage = f" at stage {result.stage}" if result.stage else ""
-            print(f"frobenius: {result.verdict}{stage}", file=out)
+            text += f"frobenius: {result.verdict}{stage}\n"
         else:
-            print(f"n = {n}, sequence parameters (r, s) = ({spec.r}, {spec.s}), "
-                  f"discriminant {spec.delta}", file=out)
+            text = (f"n = {n}, sequence parameters (r, s) = ({spec.r}, {spec.s}), "
+                    f"discriminant {spec.delta}\n")
             if test == "perrin-full":
-                print(f"signature {result.signature.values}" if result.signature else
-                      "no signature computed: a table prime of n rules out A(n) = r", file=out)
-                print(f"class {result.signature_class}, jacobi {result.jacobi_symbol}",
-                      file=out)
-            print(f"{test}: {rec['verdict']}", file=out)
-    print("record: " + _compact_json(rec), file=out)
+                text += (f"signature {result.signature.values}\n" if result.signature else
+                         "no signature computed: a table prime of n rules out A(n) = r\n")
+                text += f"class {result.signature_class}, jacobi {result.jacobi_symbol}\n"
+            text += f"{test}: {rec['verdict']}\n"
+    out.write(f"{text}record: {_record_json(rec)}\n")
     return rec
 
 
@@ -170,7 +178,7 @@ def run_construct_job(params: ConstructionParams, out=None, err=None) -> int:
     for note in result.diagnostics:
         print(f"construct: {note}", file=err)
     for cert in result.certificates:
-        print(_compact_json(cert.to_record()), file=out)
+        print(_record_json(cert.to_record()), file=out)
     print(f"construct: {len(result.certificates)} certificate(s)", file=err)
     return 0 if result.certificates else 2
 

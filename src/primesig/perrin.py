@@ -69,7 +69,7 @@ def _cubic(r: int, s: int) -> Poly:
 @dataclass(frozen=True)
 class RecurrenceParams:
     """Integer parameters (r, s) of the cubic x^3 - r*x^2 + s*x - 1, which
-    poly holds (lowest degree first) from one polynomial check when built."""
+    poly holds (lowest degree first) from one check; r and s are its ints."""
 
     r: int
     s: int
@@ -80,7 +80,7 @@ class RecurrenceParams:
             poly = _cubic(self.r, self.s)
         except (TypeError, ValueError):
             raise ValueError(f"r and s must be integers, got {self.r!r}, {self.s!r}") from None
-        object.__setattr__(self, "poly", poly)
+        self.__dict__.update(r=-poly[2], s=poly[1], poly=poly)
 
     @property
     def delta(self) -> int:
@@ -335,6 +335,11 @@ class PerrinResult:
     signature: Signature | None = None
 
 
+# The shared results of a table miss; full mode's symbol is 1 or -1.
+_WEAK_MISS = PerrinResult(False, None, None)
+_FULL_MISS = {j: PerrinResult(False, NOT_ACCEPTABLE, j) for j in (1, -1)}
+
+
 def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinResult:
     """Signature test at n.
 
@@ -352,7 +357,7 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
         raise ValueError(f"n must be >= 2, got {n}")
     if mode == "weak":
         if _table_miss(params, n):
-            return PerrinResult(False, None, None)
+            return _WEAK_MISS
         passes = _terms(params, _xpow(n, params.poly, n), n, 1)[0] == params.r % n
         j = jacobi(params.delta, n) if passes and n % 2 else None
         return PerrinResult(passes, None, j)
@@ -364,7 +369,7 @@ def perrin_test(params: RecurrenceParams, n: int, mode: str = "full") -> PerrinR
             raise ValueError(f"full mode requires gcd(n, delta) = 1, got n = {n}")
         j = jacobi(delta, n)
         if _table_miss(params, n):
-            return PerrinResult(False, NOT_ACCEPTABLE, j, None)
+            return _FULL_MISS[j]
         sig = signature(params, n, n)
         klass = classify_signature(params, n, sig)
         passes = (j == 1 and klass.kind in ("S", "I")) or (j == -1 and klass.kind == "Q")

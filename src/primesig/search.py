@@ -55,6 +55,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
 from .modarith import _TRIAL_LIMIT, _small_primes, factorize, is_prime_baseline, jacobi
@@ -72,9 +73,11 @@ TESTS = ("perrin-weak", "perrin-full", "frobenius")
 # One per scanned n; their counts add up to the number of n scanned.
 OUTCOMES = ("prime", "not-applicable", "rejected:prefilter", "rejected:test", "flagged")
 
-# The one compact encoder of records and summaries, which cli imports too:
-# json.dumps(x, separators=...) would build a new encoder at every call.
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+def _record_json(rec: dict[str, str]) -> str:
+    # The bytes of json.dumps(rec, separators=(",", ":")), a non-str raising
+    # TypeError; json.dumps and a bound JSONEncoder.encode build a C encoder per call.
+    return "{" + ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in rec.items()]) + "}"
 
 
 class CheckpointMismatch(RuntimeError):
@@ -96,7 +99,7 @@ class SearchSpec:
     discriminant its records' Jacobi symbol reads (delta, of poly), both
     from one check when the spec is built, and refusers, when a scan first
     reads it.  poly is kept as that check trims it, so records and hash do
-    not depend on trailing zeros; Perrin records and hash still read r, s.
+    not depend on trailing zeros; Perrin ones read r, s, the ints of params.
     A parameter the test does not read must keep its default (poly may be
     a Perrin test's own cubic), or ValueError is raised."""
 
@@ -120,9 +123,8 @@ class SearchSpec:
             if self.poly not in ((-1, -1, 0, 1), params.poly):
                 raise ValueError(f"poly is read by frobenius only, not by {self.test}")
             poly = params.poly
-        object.__setattr__(self, "poly", _require_poly(poly, 2, squarefree=True))
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "delta", self.poly.delta)
+        poly = _require_poly(poly, 2, squarefree=True)
+        self.__dict__.update(r=params.r, s=params.s, poly=poly, params=params, delta=poly.delta)
 
     def applies(self, n: int) -> bool:
         """Whether the test is defined at the odd composite n."""
@@ -315,7 +317,7 @@ def _scan_block(start: int, stop: int, spec: SearchSpec, block_size: int,
     while i >= 0:
         rec = _record_for(first + 2 * i, spec)
         if rec is not None:
-            lines.append(_compact_json(rec))
+            lines.append(_record_json(rec))
         i = marks.find(1, i + 1)
     counts = {"prime": marks.count(0), "not-applicable": marks.count(3),
               "rejected:prefilter": marks.count(2),

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -368,3 +369,169 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "Q[a=5]" in proc.stdout
+
+
+# Everything verify writes for these n, byte for byte, as this package wrote
+# it with one print per line, before verify wrote its evidence at once.
+PINNED_EVIDENCE = [
+    (9, 'perrin-weak', {}, (
+        'n = 9, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'perrin-weak: fail\n'
+        'record: {"n":"9","test":"perrin-weak","rs":"0,-1","verdict":"fail",'
+        '"jacobi":"1"}\n'
+    )),
+    (10, 'perrin-weak', {}, (
+        'n = 10, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'perrin-weak: fail\n'
+        'record: {"n":"10","test":"perrin-weak","rs":"0,-1","verdict":"fail"}\n'
+    )),
+    (271441, 'perrin-weak', {}, (
+        'n = 271441, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'perrin-weak: pass\n'
+        'record: {"n":"271441","test":"perrin-weak","rs":"0,-1","verdict":"pass",'
+        '"jacobi":"1"}\n'
+    )),
+    (15, 'perrin-full', {}, (
+        'n = 15, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'no signature computed: a table prime of n rules out A(n) = r\n'
+        'class not-acceptable, jacobi -1\n'
+        'perrin-full: fail\n'
+        'record: {"n":"15","test":"perrin-full","rs":"0,-1","verdict":"fail",'
+        '"class":"not-acceptable","jacobi":"-1"}\n'
+    )),
+    (271441, 'perrin-full', {}, (
+        'n = 271441, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'signature (116705, 154736, 3, 3, 0, 116706)\n'
+        'class not-acceptable, jacobi 1\n'
+        'perrin-full: fail\n'
+        'record: {"n":"271441","test":"perrin-full","rs":"0,-1","verdict":"fail",'
+        '"class":"not-acceptable","jacobi":"1"}\n'
+    )),
+    (1000037, 'perrin-full', {}, (
+        'n = 1000037, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'signature (823499, 1000036, 484022, 484022, 0, 885665)\n'
+        'class Q[a=484022], jacobi -1\n'
+        'perrin-full: pass\n'
+        'record: {"n":"1000037","test":"perrin-full","rs":"0,-1",'
+        '"verdict":"pass","class":"Q[a=484022]","jacobi":"-1"}\n'
+    )),
+    (5777, 'frobenius', {}, (
+        'n = 5777, poly -1,-1,0,1\n'
+        'degrees [0]\n'
+        'factor found: 109\n'
+        'frobenius: composite at stage factorization\n'
+        'record: {"n":"5777","test":"frobenius","poly":"-1,-1,0,1",'
+        '"verdict":"composite","degrees":"0","jacobi":"1","factor_found":"109"}\n'
+    )),
+    (59, 'frobenius', {}, (
+        'n = 59, poly -1,-1,0,1\n'
+        'degrees [3, 0, 0]\n'
+        'jacobi stage sum S = 0, (delta/n) = 1\n'
+        'frobenius: probable-prime\n'
+        'record: {"n":"59","test":"frobenius","poly":"-1,-1,0,1",'
+        '"verdict":"probable-prime","degrees":"3,0,0","jacobi":"1"}\n'
+    )),
+    (8911, 'frobenius', {}, (
+        'n = 8911, poly -1,-1,0,1\n'
+        'degrees [1]\n'
+        'factor found: 133\n'
+        'frobenius: composite at stage factorization\n'
+        'record: {"n":"8911","test":"frobenius","poly":"-1,-1,0,1",'
+        '"verdict":"composite","degrees":"1","jacobi":"-1","factor_found":"133"}\n'
+    )),
+    (9, 'frobenius', {'poly': (1, 0, 1)}, (
+        'n = 9, poly 1,0,1\n'
+        'degrees [2, 0]\n'
+        'jacobi stage sum S = 0, (delta/n) = 1\n'
+        'frobenius: probable-prime\n'
+        'record: {"n":"9","test":"frobenius","poly":"1,0,1",'
+        '"verdict":"probable-prime","degrees":"2,0","jacobi":"1"}\n'
+    )),
+    (561, 'korselt', {}, (
+        'n = 561 = 3 * 11 * 17\n'
+        'squarefree: True\n'
+        '  p = 3: p-1 | n-1 holds\n'
+        '  p = 11: p-1 | n-1 holds\n'
+        '  p = 17: p-1 | n-1 holds\n'
+        'korselt certificate validates\n'
+        'record: {"n":"561","test":"korselt","factors":"3:1,11:1,17:1",'
+        '"squarefree":"true","verdict":"pass"}\n'
+    )),
+    (1729, 'korselt', {}, (
+        'n = 1729 = 7 * 13 * 19\n'
+        'squarefree: True\n'
+        '  p = 7: p-1 | n-1 holds\n'
+        '  p = 13: p-1 | n-1 holds\n'
+        '  p = 19: p-1 | n-1 holds\n'
+        'korselt certificate validates\n'
+        'record: {"n":"1729","test":"korselt","factors":"7:1,13:1,19:1",'
+        '"squarefree":"true","verdict":"pass"}\n'
+    )),
+]
+
+
+@pytest.mark.parametrize("n, test, kwargs, text", PINNED_EVIDENCE,
+                         ids=[f"{t}-{n}" + "".join(f"-{k}={v}" for k, v in kw.items())
+                              for n, t, kw, _ in PINNED_EVIDENCE])
+def test_verify_writes_its_pinned_evidence_once(n, test, kwargs, text):
+    class Sink(io.StringIO):
+        writes = 0
+
+        def write(self, s):
+            self.writes += 1
+            return super().write(s)
+
+    sink = Sink()
+    rec = verify_number(n, test, **kwargs, out=sink)
+    assert (sink.getvalue(), sink.writes) == ("".join(text), 1)
+    assert sink.getvalue().endswith(f"record: {json.dumps(rec, separators=(',', ':'))}\n")
+
+
+@pytest.mark.parametrize("test, good, bad, error", [
+    ("perrin-weak", {"rs": (0, -1)}, {"rs": (0.0, -1)}, "must be integers"),
+    ("perrin-full", {"rs": (0, -1)}, {"rs": (0, -1.0)}, "must be integers"),
+    ("perrin-weak", {"rs": (1, 2)}, {"rs": (3, 3)}, "not squarefree"),
+    ("frobenius", {"poly": (-1, -1, 0, 1)}, {"poly": (-1.0, -1, 0, 1)}, "integer coefficients"),
+    ("frobenius", {"poly": (-1, -1, 0, 1)}, {"poly": (-1, -1, 0, 2)}, "monic"),
+    ("frobenius", {"poly": (-1, -1, 0, 1)}, {"poly": (0, -1, 0, 1)}, "root 0"),
+    ("perrin-weak", {}, {"test": "perrin-wea"}, "unknown test"),
+    ("perrin-weak", {"rs": (0, -1)}, {"rs": ([0], -1)}, "must be integers"),
+])
+def test_verify_spec_memo_keeps_every_check(test, good, bad, error):
+    # verify keeps one spec per parameter set; a bad parameter equal to a
+    # good one must still raise, twice in a row, right after the good call.
+    sink = io.StringIO()
+    verify_number(11, test, **good, out=sink)
+    written = sink.getvalue()
+    bad = {"test": test, **bad}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=error):
+            verify_number(11, **bad, out=sink)
+    assert sink.getvalue() == written
+
+
+def test_verify_specs_of_different_parameters_never_cross():
+    from primesig import cli
+    from primesig.search import SearchSpec, record
+
+    for _ in range(2):
+        accepted = 0
+        for r in range(-6, 7):
+            for s in range(-6, 7):
+                try:
+                    fresh = SearchSpec("perrin-full", r, s)
+                except ValueError:
+                    continue
+                if math.gcd(fresh.delta, 35) != 1:
+                    continue
+                rec = verify_number(35, "perrin-full", rs=(r, s), out=io.StringIO())
+                assert rec == record(35, fresh, fresh.run(35)), (r, s)
+                assert rec["rs"] == f"{r},{s}"
+                accepted += 1
+        for poly in ((-1, -1, 1), (1, 0, 1), (-1, -1, 0, 1), (-5, 0, 1), (-1, -1, 0, 0, 1)):
+            rec = verify_number(35, "frobenius", poly=poly, out=io.StringIO())
+            fresh = SearchSpec("frobenius", poly=poly)
+            assert rec == record(35, fresh, fresh.run(35)), poly
+    # More parameter sets than the memo holds, so it must have dropped some.
+    info = cli._spec.cache_info()
+    assert accepted > info.maxsize >= info.currsize > 0

@@ -152,6 +152,56 @@ def test_canonical_text_is_pinned():
         text.encode()).hexdigest()
 
 
+def test_specs_keep_r_and_s_as_ints():
+    # True == 1, but kept as True it was recorded and hashed as "True".
+    spec = SearchSpec("perrin-weak", True, 2)
+    assert [type(x) for x in (spec.r, spec.s, spec.params.r, spec.params.s)] == [int] * 4
+    assert spec.canonical() == SearchSpec("perrin-weak", 1, 2).canonical()
+    assert search._params_hash(3, 99, spec, 10) == search._params_hash(
+        3, 99, SearchSpec("perrin-weak", 1, 2), 10)
+    assert verify_number(11, "perrin-weak", rs=(True, 2), out=io.StringIO())["rs"] == "1,2"
+    params = RecurrenceParams(False, True)
+    assert (type(params.r), type(params.s)) == (int, int) and (params.r, params.s) == (0, 1)
+    spec = SearchSpec("frobenius", False, -1)
+    assert (type(spec.r), spec.r) == (int, 0)
+
+
+def test_record_encoder_is_json_dumps(tmp_path, monkeypatch):
+    # Records are flat str -> str dicts; the encoder must give the bytes of
+    # json.dumps(rec, separators=(",", ":")) for each of them.
+    from primesig.cli import run_construct_job
+    from primesig.constructor import PRESETS
+
+    encode = search._record_json
+    seen = []
+
+    def spying(rec):
+        seen.append(dict(rec))
+        return encode(rec)
+
+    monkeypatch.setattr(search, "_record_json", spying)
+    out = tmp_path / "weak.jsonl"
+    run_range_search(3, 10**6, SearchSpec("perrin-weak"), out_path=str(out))
+    assert len(seen) == 2 and out.read_text().count("\n") == 2
+    frob = SearchSpec("frobenius", poly=(-1, -1, 1))
+    run_range_search(3, 20000, frob, out_path=str(tmp_path / "frob.jsonl"))
+    assert len(seen) == 8
+    monkeypatch.undo()
+    for spec in (frob, SearchSpec("frobenius")):
+        seen += [search.record(n, spec, spec.run(n)) for n in range(3, 3001, 2)
+                 if spec.applies(n)]
+    seen += [verify_number(n, "korselt", out=io.StringIO()) for n in range(2, 2000)]
+    construct_out = io.StringIO()
+    assert run_construct_job(PRESETS["classic-Q"], out=construct_out, err=io.StringIO()) == 0
+    seen += [json.loads(line) for line in construct_out.getvalue().splitlines()]
+    seen += [{}, {"a\"b": "c\\d", "\x00\x1f\n\t\x7f": "\u00e9\u2014\U0001f600\ud800", "": ""}]
+    for rec in seen:
+        assert encode(rec) == json.dumps(rec, separators=(",", ":")), rec
+    for value in (5, None, 1.5, True, ["x"]):
+        with pytest.raises(TypeError):
+            encode({"n": "3", "test": value})
+
+
 def test_spec_refuses_a_parameter_its_test_does_not_read():
     # Accepted, the first would scan x^3 - x - 1 and hash rs=0,-1, and the
     # second would keep an unread r and s.
