@@ -13,7 +13,7 @@ discriminant is 1), and the notion collapses back to plain Carmichael.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frobenius import _splits_completely
 from .modarith import Factorization, factorize
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KorseltCertificate:
+class KorseltCertificate(NamedTuple):
     """Self-contained evidence for (or against) n being Carmichael."""
 
     n: int
@@ -67,15 +66,13 @@ def korselt(n: int) -> KorseltCertificate:
     return KorseltCertificate(n, fact, checks, fact.is_squarefree)
 
 
-@dataclass(frozen=True)
-class SplittingEvidence:
+class SplittingEvidence(NamedTuple):
     p: int
     splits: bool
     ramified: bool = False
 
 
-@dataclass(frozen=True)
-class CarmichaelFrobeniusResult:
+class CarmichaelFrobeniusResult(NamedTuple):
     korselt: KorseltCertificate
     splitting: tuple[SplittingEvidence, ...]
     reason: str | None

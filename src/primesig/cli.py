@@ -98,26 +98,32 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
             spec = _spec(test, poly=_require_poly(poly, 2))
         else:
             try:
-                spec = _spec(test, *rs)
+                r, s = rs
+            except (TypeError, ValueError):
+                raise ValueError(f"rs wants two integers, got {rs!r}") from None
+            try:
+                spec = _spec(test, r, s)
             except TypeError:  # an unhashable r, s or test, which the spec names
-                spec = SearchSpec(test, *rs)
+                spec = SearchSpec(test, r, s)
         result = spec.run(n)
         rec = record(n, spec, result)
         if test == "frobenius":
+            factor, parity, stage = result.factor_found, result.jacobi_s, result.stage
             text = f"n = {n}, poly {rec['poly']}\ndegrees {list(result.degrees)}\n"
-            if result.factor_found:
-                text += f"factor found: {result.factor_found}\n"
-            if result.jacobi_s is not None:
-                text += f"jacobi stage sum S = {result.jacobi_s}, (delta/n) = {rec['jacobi']}\n"
-            stage = f" at stage {result.stage}" if result.stage else ""
-            text += f"frobenius: {result.verdict}{stage}\n"
+            if factor:
+                text += f"factor found: {factor}\n"
+            if parity is not None:
+                text += f"jacobi stage sum S = {parity}, (delta/n) = {rec['jacobi']}\n"
+            stage = f" at stage {stage}" if stage else ""
+            text += f"frobenius: {rec['verdict']}{stage}\n"
         else:
             text = (f"n = {n}, sequence parameters (r, s) = ({spec.r}, {spec.s}), "
                     f"discriminant {spec.delta}\n")
             if test == "perrin-full":
-                text += (f"signature {result.signature.values}\n" if result.signature else
+                sig = result.signature
+                text += (f"signature {sig.values}\n" if sig else
                          "no signature computed: a table prime of n rules out A(n) = r\n")
-                text += f"class {result.signature_class}, jacobi {result.jacobi_symbol}\n"
+                text += f"class {rec['class']}, jacobi {rec['jacobi']}\n"
             text += f"{test}: {rec['verdict']}\n"
     out.write(f"{text}record: {_record_json(rec)}\n")
     return rec

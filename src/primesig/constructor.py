@@ -30,6 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress, islice
+from typing import NamedTuple
 
 from .carmichael import KorseltCertificate, SplittingEvidence, carmichael_frobenius
 from .frobenius import _splits_completely
@@ -101,8 +102,7 @@ class ConstructionParams:
             raise ValueError("; ".join(issues))
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(NamedTuple):
     """A constructed n = product(subset), 1 mod k*L, with full evidence."""
 
     n: int
@@ -123,8 +123,7 @@ class ConstructionCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SubsetSearchResult:
+class SubsetSearchResult(NamedTuple):
     subsets: tuple[tuple[int, ...], ...]
     complete: bool
 

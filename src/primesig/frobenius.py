@@ -22,7 +22,7 @@ primality check on certified p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modarith import is_prime_baseline, jacobi
 from .polymod import (Poly, _compose_mod, _gcmd_minus_x, _pdivmod_monic,
@@ -46,8 +46,7 @@ PROBABLE_PRIME = "probable-prime"
 COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(NamedTuple):
     """Full record of one test run.
 
     stage is None for probable primes, otherwise the stage that declared
@@ -66,8 +65,7 @@ class FrobeniusReport:
     jacobi_s: int | None = None
 
 
-@dataclass(frozen=True)
-class FactorizationStepResult:
+class FactorizationStepResult(NamedTuple):
     declared_composite: bool
     degrees: tuple[int, ...]
     # Monic coefficient lists of the split parts F_1..F_d (lowest degree
@@ -77,14 +75,12 @@ class FactorizationStepResult:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class FrobeniusStepResult:
+class FrobeniusStepResult(NamedTuple):
     declared_composite: bool
     failing_index: int | None = None
 
 
-@dataclass(frozen=True)
-class JacobiStepResult:
+class JacobiStepResult(NamedTuple):
     declared_composite: bool
     parity_sum: int | None = None
     reason: str | None = None
@@ -182,18 +178,16 @@ def frobenius_test(n: int, coeffs) -> FrobeniusReport:
     if g > 1:
         return FrobeniusReport(n, f, COMPOSITE, "precondition", (), factor_found=g)
     fact = factorization_step(n, f)
+    degrees = fact.degrees
     if fact.declared_composite:
-        return FrobeniusReport(n, f, COMPOSITE, "factorization", fact.degrees,
+        return FrobeniusReport(n, f, COMPOSITE, "factorization", degrees,
                                factor_found=fact.factor_found)
-    frob = frobenius_step(n, fact.parts)
-    if frob.declared_composite:
-        return FrobeniusReport(n, f, COMPOSITE, "frobenius", fact.degrees)
-    jac = jacobi_step(fact.degrees, delta, n)
+    if frobenius_step(n, fact.parts).declared_composite:
+        return FrobeniusReport(n, f, COMPOSITE, "frobenius", degrees)
+    jac = jacobi_step(degrees, delta, n)
     if jac.declared_composite:
-        return FrobeniusReport(n, f, COMPOSITE, "jacobi", fact.degrees,
-                               jacobi_s=jac.parity_sum)
-    return FrobeniusReport(n, f, PROBABLE_PRIME, None, fact.degrees,
-                           jacobi_s=jac.parity_sum)
+        return FrobeniusReport(n, f, COMPOSITE, "jacobi", degrees, jacobi_s=jac.parity_sum)
+    return FrobeniusReport(n, f, PROBABLE_PRIME, None, degrees, jacobi_s=jac.parity_sum)
 
 
 def splits_completely(p: int, coeffs) -> bool:

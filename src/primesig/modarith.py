@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BudgetExceededError",
@@ -169,8 +169,7 @@ def is_prime_baseline(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Complete factorization of base as sorted (prime, exponent) pairs."""
 
     base: int

@@ -36,6 +36,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .modarith import jacobi
 from .polymod import Poly, _discriminant, _gcmd_minus_x, _ppow_monic, _require_poly, _xpow
@@ -91,8 +92,7 @@ class RecurrenceParams:
 PERRIN = RecurrenceParams(0, -1)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """(A(-n-1), A(-n), A(-n+1), A(n-1), A(n), A(n+1)) mod modulus."""
 
     modulus: int
@@ -100,8 +100,7 @@ class Signature:
     index: int
 
 
-@dataclass(frozen=True)
-class SignatureClass:
+class SignatureClass(NamedTuple):
     """Shape of a signature: kind "S", "I", "Q" or "not-acceptable".
 
     I carries the off-template pair (d at tuple position 4, d_prime at
@@ -114,11 +113,12 @@ class SignatureClass:
     d_prime: int | None = None
 
     def __str__(self) -> str:
-        if self.kind == "I":
+        kind = self.kind
+        if kind == "I":
             return f"I[D={self.d},D'={self.d_prime}]"
-        if self.kind == "Q":
+        if kind == "Q":
             return f"Q[a={self.a}]"
-        return self.kind
+        return kind
 
 
 NOT_ACCEPTABLE = SignatureClass("not-acceptable")
@@ -321,8 +321,7 @@ def classify_signature(params: RecurrenceParams, n: int, sig: Signature) -> Sign
     return NOT_ACCEPTABLE
 
 
-@dataclass(frozen=True)
-class PerrinResult:
+class PerrinResult(NamedTuple):
     """Outcome of perrin_test: overall pass flag, the signature class
     (full mode only), the Jacobi symbol of the discriminant and the
     signature mod n it was classified from (full mode, unless a table

@@ -54,7 +54,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .frobenius import PROBABLE_PRIME, FrobeniusReport, frobenius_test
@@ -177,8 +177,9 @@ def record(n: int, spec: SearchSpec, result: PerrinResult | FrobeniusReport) -> 
         j, factor = None, result.factor_found
     else:
         rec |= {"rs": f"{spec.r},{spec.s}", "verdict": "pass" if result.passes else "fail"}
-        if result.signature_class is not None:
-            rec["class"] = str(result.signature_class)
+        klass = result.signature_class
+        if klass is not None:
+            rec["class"] = str(klass)
         j, factor = result.jacobi_symbol, None
     if n % 2:
         rec["jacobi"] = str(jacobi(spec.delta, n) if j is None else j)
@@ -197,7 +198,7 @@ def _record_for(n: int, spec: SearchSpec) -> dict | None:
     if spec.test == "perrin-weak" and math.gcd(spec.delta, n) == 1:
         # Weak hits are rare enough to afford the full test's class as
         # extra evidence; it is recorded, never asserted.
-        result = replace(result, signature_class=perrin_test(spec.params, n).signature_class)
+        result = result._replace(signature_class=perrin_test(spec.params, n).signature_class)
     return record(n, spec, result)
 
 

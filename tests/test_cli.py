@@ -496,6 +496,9 @@ def test_verify_writes_its_pinned_evidence_once(n, test, kwargs, text):
     ("frobenius", {"poly": (-1, -1, 0, 1)}, {"poly": (0, -1, 0, 1)}, "root 0"),
     ("perrin-weak", {}, {"test": "perrin-wea"}, "unknown test"),
     ("perrin-weak", {"rs": (0, -1)}, {"rs": ([0], -1)}, "must be integers"),
+    # A third value must not be taken for poly, nor a missing one for a default.
+    *[(test, {"rs": (1, 2)}, {"rs": rs}, "^rs wants two integers")
+      for test in ("perrin-weak", "perrin-full") for rs in ((1, 2, 3), (1,), (), 5, None)],
 ])
 def test_verify_spec_memo_keeps_every_check(test, good, bad, error):
     # verify keeps one spec per parameter set; a bad parameter equal to a
