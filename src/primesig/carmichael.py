@@ -11,8 +11,6 @@ model the rationals: every prime splits, none is ramified (the
 discriminant is 1), and the notion collapses back to plain Carmichael.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .frobenius import _splits_completely

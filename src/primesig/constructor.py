@@ -24,8 +24,6 @@ ConstructionParams raises one ValueError naming every bad value when it
 is built, so a stage diagnostic from construct means valid input starved.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
 from dataclasses import dataclass, field

@@ -19,8 +19,6 @@ again coefficient by coefficient.  _splits_completely skips the
 primality check on certified p.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -137,7 +135,8 @@ def frobenius_step(n: int, parts) -> FrobeniusStepResult:
         f_i = _require_poly(part, 0) if i > 1 else ()
         if len(f_i) < 2:
             continue
-        if _compose_mod(f_i, _xpow(n, f_i, n), n):
+        # F_i depends on n, so its power starts from x, not from a table.
+        if _compose_mod(f_i, _xpow(n, [*f_i], n), n):
             return FrobeniusStepResult(True, failing_index=i)
     return FrobeniusStepResult(False)
 

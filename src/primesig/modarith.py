@@ -7,8 +7,6 @@ Carmichael numbers), then runs Brent rho on what is left; only the Brent
 steps count against its budget.  Any piece left below 10**8 is prime.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from typing import NamedTuple

@@ -30,8 +30,6 @@ any larger prime p, and exact_terms gives A(0), A(1), ... as integers,
 read mod the one large prime factor of n.
 """
 
-from __future__ import annotations
-
 import functools
 import logging
 import math

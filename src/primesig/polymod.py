@@ -25,6 +25,21 @@ makes one; a Poly handed back costs only the degree check and, when
 asked, reads of f(0) and of its discriminant, which the first squarefree
 check keeps on it.
 
+An x-power of a quadratic or cubic Poly f does not start from x.  It
+starts from row J of f's table of x^j mod f over the integers (mod
+(x - 1)*f for a quadratic), j < 2^w, J the top w bits of e, reduced mod
+n; only the bits below J are squared in.  The rows are exact and
+reduction mod n is a ring map Z[x]/(f) -> Z/nZ[x]/(f), so every n >= 2,
+even ones and the signature's 2n included, gets the element it got from
+x.  w is read off f: the largest w whose 2^w rows number at most 2^9 and
+keep every coefficient below 2^512 in absolute value.  x^3 - x - 1 and
+x^2 + 1 (whose rows never grow) get w = 9, x^2 - 5 gets 8, x^3 - 100x - 1
+gets 7, and a cubic with coefficients as wide as a 157-bit n gets 2.  So
+a table takes under 192 KiB (under 100 KB for x^3 - x - 1), and a memo
+keeps 16, one per polynomial's coefficients.  The factors of f mod n
+that the Frobenius stage powers are passed as lists and start from x:
+they change with n, and a table for one n would cost more than it saves.
+
 The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by the subresultant pseudo-remainder
 sequence over the integers, so callers can reduce it by any modulus they
@@ -148,7 +163,9 @@ def _xpow(e: int, f: Sequence[int], n: int) -> list[int]:
 
 def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[int]:
     # g**e mod monic f of degree 3, or of degree 2 through (x - 1)*f, for
-    # e >= 1 and g = [g0, g1, g2] reduced mod n; g = None stands for x.
+    # e >= 1 and g = [g0, g1, g2] reduced mod n; g = None stands for x,
+    # whose power starts from the row of f's table that e's top w bits
+    # name, and squares in the bits below them.
     # x^3 = c*x^2 + b*x + a in the ring, each its least absolute residue.
     # Constants past the fourth root of n get t4 and t3 reduced first:
     # unreduced, their products would cost more than the reductions saved.
@@ -156,8 +173,16 @@ def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[in
     a, b, c = (f[0], f[1] - f[0], 1 - f[1]) if len(f) == 3 else (-f[0], -f[1], -f[2])
     a, b, c = (a + h) % n - h, (b + h) % n - h, (c + h) % n - h
     wide = (a * a + b * b + c * c) ** 2 > n
-    p0, p1, p2 = g0, g1, g2 = g if g is not None else (0, 1, 0)
-    for bit in bin(e)[3:]:
+    if g is None:
+        w, rows = _x_rows(f) if type(f) is Poly else _X_ROWS
+        s = e.bit_length() - w
+        p0, p1, p2 = rows[e >> s if s > 0 else e]
+        p0, p1, p2 = p0 % n, p1 % n, p2 % n
+        bits = bin(e)[w + 2:]
+    else:
+        p0, p1, p2 = g0, g1, g2 = g
+        bits = bin(e)[3:]
+    for bit in bits:
         # Square, fold x^4 and x^3 back into degrees <= 2, and on a set bit
         # shift for x, all before one reduction of each coefficient.
         t4 = p2 * p2 % n if wide else p2 * p2
@@ -180,6 +205,27 @@ def _cubic_pow(g: list[int] | None, e: int, f: Sequence[int], n: int) -> list[in
                           (p0 * g1 + p1 * g0 + a * t4 + b * t3) % n,
                           (p0 * g2 + p1 * g1 + p2 * g0 + b * t4 + c * t3) % n)
     return _pdivmod_monic([p0, p1, p2], f, n)[1] if len(f) == 3 else _trim([p0, p1, p2])
+
+
+# x^j mod f over the integers, for a Poly f of degree 3 or (x - 1)*f of a
+# quadratic, j < 2^w: w is the largest with at most _X_ROW_CAP rows whose
+# coefficients all lie below 2^_X_BIT_CAP in absolute value.  Any other f
+# starts from _X_ROWS, the rows 1 and x, as if from x.
+_X_ROW_CAP = 1 << 9
+_X_BIT_CAP = 512
+_X_ROWS = (1, ((1, 0, 0), (0, 1, 0)))
+
+
+@lru_cache(maxsize=16)
+def _x_rows(f: Poly) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    a, b, c = (f[0], f[1] - f[0], 1 - f[1]) if len(f) == 3 else (-f[0], -f[1], -f[2])
+    rows, row = [], (1, 0, 0)
+    while len(rows) < _X_ROW_CAP and max(map(abs, row)).bit_length() <= _X_BIT_CAP:
+        rows.append(row)
+        r0, r1, r2 = row
+        row = (a * r2, r0 + b * r2, r1 + c * r2)
+    w = len(rows).bit_length() - 1
+    return w, tuple(rows[:1 << w])
 
 
 def _monic(g: list[int], n: int):

@@ -26,10 +26,10 @@ from primesig import (
 )
 from primesig import frobenius, perrin
 from primesig.cli import verify_number
-from primesig.polymod import _gcmd, _pdivmod_monic
+from primesig.polymod import _gcmd, _pdivmod_monic, _require_poly
 
 from naive_frobenius import naive_frobenius
-from oracles import sieve
+from oracles import jacobi_naive, sieve
 
 CUBIC = (-1, -1, 0, 1)  # x^3 - x - 1
 # x^3 - 3x + 1 has positive lower coefficients, which the cubic kernel
@@ -237,6 +237,34 @@ def test_splits_completely_matches_root_counting():
             roots = sum(1 for a in range(p)
                         if sum(c * a**i for i, c in enumerate(coeffs)) % p == 0)
             assert splits_completely(p, coeffs) == (roots == len(coeffs) - 1), (p, coeffs)
+
+
+def test_splitting_agrees_with_the_congruence_and_jacobi_oracles():
+    # Two facts of class field theory, checked at every prime below 20000
+    # by oracles that share no code with the ring engine.  An abelian
+    # cubic splits by a congruence: x^3 - 3x + 1 (delta 81) exactly when
+    # p = +-1 mod 9, x^3 - x^2 - 2x + 1 (delta 49) exactly when
+    # p = +-1 mod 7.  The splitting field of x^3 - x - 1 contains
+    # Q(sqrt(-23)), which lies in Q(zeta_23), so a split prime and every
+    # p = 1 mod 23 have (-23/p) = 1.  x^p runs at 3- to 15-bit moduli:
+    # wholly from each cubic's table below 2^9, then past it.
+    flags = sieve(20000)
+    primes = [p for p in range(2, 20000) if flags[p]]
+    by_9, by_7 = _require_poly((1, -3, 0, 1), 1), _require_poly((1, -2, -1, 1), 1)
+    perrin_cubic = _require_poly(CUBIC, 1)
+    split = 0
+    for p in primes:
+        if p >= 5:
+            assert frobenius._splits_completely(p, by_9) == (p % 9 in (1, 8)), p
+        if p >= 11:
+            assert frobenius._splits_completely(p, by_7) == (p % 7 in (1, 6)), p
+        if frobenius._splits_completely(p, perrin_cubic):
+            split += 1
+            assert p > 2 and jacobi_naive(-23, p) == 1, p
+        if p % 23 == 1:
+            assert jacobi_naive(-23, p) == 1, p
+    # About 1/6 of the primes split (Chebotarev for the S3 field).
+    assert len(primes) == 2262 and 300 < split < 450, split
 
 
 def test_jacobi_stage_rejects():

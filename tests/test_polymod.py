@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from primesig import discriminant
 
 from primesig.polymod import (Poly, _compose_mod, _discriminant, _gcmd, _gcmd_minus_x,
-                              _pdivmod_monic, _ppow_monic, _reduce, _require_poly, _xpow)
+                              _pdivmod_monic, _ppow_monic, _reduce, _require_poly, _x_rows,
+                              _xpow)
 
 from naive_frobenius import _divmod as naive_divmod
 from naive_frobenius import _powmod as naive_powmod
@@ -146,6 +149,60 @@ def test_quadratics_on_the_cubic_kernel_match_naive_powmod():
         assert _ppow_monic(g, e, f, n) == expected, (n, f, g, e)
         if g == [0, 1]:
             assert _xpow(e, f, n) == expected, (n, f, e)
+
+
+def test_xpow_from_the_table_matches_naive_powmod_at_its_edges():
+    # For a Poly f, x^e starts from row e >> s of the exact table of x^j
+    # mod f (mod (x - 1)*f for a quadratic), j < 2^w, and squares over the
+    # s bits left.  Every row inside the table, and the exponents on either
+    # side of its end, against the dict-polynomial oracle and against the
+    # same f as a list, which starts from x: for n = 2, 3 and 4, doubled
+    # moduli, n of 157 and 546 bits and one wider than every row.  The
+    # polynomials are the Perrin cubic, x^2 - 5, x^2 + 1 (whose rows never
+    # grow, so the row cap ends its table), a cubic whose rows outgrow the
+    # bit cap early, and a cubic and a quadratic with coefficients as wide
+    # as the 157-bit n, whose tables stop at a few rows.
+    rng = random.Random(53)
+    n157, n546 = rng.getrandbits(157) | 1 << 156, rng.getrandbits(546) | 1 << 545
+    moduli = (2, 3, 4, 6, 8, n157, 2 * n157, n546, 2 * n546, (1 << 1031) + 5)
+    cases = {(-1, -1, 0, 1): 9, (-5, 0, 1): 8, (1, 0, 1): 9, (-1, -100, 0, 1): 7,
+             (n157 - 3, n157 // 3, -(n157 // 7), 1): 2, (n157 + 2, -n157, 1): 2}
+    for cs, w in cases.items():
+        f = _require_poly(cs, 2)
+        assert _x_rows(f)[0] == w, cs
+        inside = range(1, 1 << w) if w <= 2 else [*range(1, 8), *rng.sample(range(8, 1 << w), 6)]
+        for e in (*inside, (1 << w) - 1, 1 << w, (1 << w) + 1, rng.getrandbits(60)):
+            for n in moduli:
+                expected = naive_powmod_list([0, 1], e, f, n)
+                assert _xpow(e, f, n) == expected == _xpow(e, list(f), n), (cs, n, e)
+
+
+def test_x_tables_stay_within_their_memory_bound():
+    # A table holds at most 2^9 rows of three integers below 2^512, so it
+    # takes under X_TABLE_BYTES whatever f is; the polymod docstring states
+    # the same bound.  The worst cases: x^2 + 1, whose rows never grow, so
+    # that only the row cap stops it; cubics with coefficients as wide as
+    # n, which the bit cap stops within a few rows; and the Perrin cubic,
+    # the largest table a test polynomial builds.  The traced peak counts
+    # building the table, and the byte count the table as it is kept.
+    X_TABLE_BYTES = 192 * 1024
+    n = (1 << 545) + 12345
+    for cs, rows_wanted in (((1, 0, 1), 512), ((n - 3, n // 3, -(n // 7), 1), 2),
+                            ((3, (1 << 200) + 1, -5, 1), 4), ((-1, -1, 0, 1), 512)):
+        f = _require_poly(cs, 2)
+        _x_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            w, rows = _x_rows(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+                                         for row in rows)
+        assert len(rows) == 1 << w == rows_wanted, cs
+        assert max(abs(c) for row in rows for c in row).bit_length() <= 512
+        assert peak < X_TABLE_BYTES and kept < X_TABLE_BYTES, (cs, peak, kept)
+    _x_rows.cache_clear()
 
 
 def test_gcmd_examples():
