@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .frobenius import _splits_completely
 from .modarith import Factorization, factorize
-from .polymod import _discriminant, _require_poly
+from .polymod import _require_poly
 
 __all__ = [
     "KorseltCertificate",
@@ -96,9 +96,8 @@ def carmichael_frobenius(n: int, coeffs) -> CarmichaelFrobeniusResult:
     cert = korselt(n)
     if not cert.validates:
         return CarmichaelFrobeniusResult(cert, (), cert.failure_reason)
-    delta = _discriminant(f)
     # factorize has certified every prime of the factorization.
-    evidence = [SplittingEvidence(p, _splits_completely(p, f), ramified=delta % p == 0)
+    evidence = [SplittingEvidence(p, _splits_completely(p, f), ramified=f.delta % p == 0)
                 for p in cert.factorization.primes()]
     bad = [str(e.p) for e in evidence if not e.splits]
     reason = f"no complete splitting at {','.join(bad)}" if bad else None

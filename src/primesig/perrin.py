@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .modarith import jacobi
-from .polymod import Poly, _discriminant, _gcmd_minus_x, _ppow_monic, _require_poly, _xpow
+from .polymod import Poly, _gcmd_minus_x, _ppow_monic, _require_poly, _xpow
 
 __all__ = [
     "RecurrenceParams",
@@ -58,13 +58,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _cubic(r: int, s: int) -> Poly:
-    # The Poly of x^3 - r*x^2 + s*x - 1, converted once per (r, s); typed,
-    # so that a float key equal to an int one is still refused.
-    return _require_poly((-1, s, -r, 1), 3)
-
-
 @dataclass(frozen=True)
 class RecurrenceParams:
     """Integer parameters (r, s) of the cubic x^3 - r*x^2 + s*x - 1, which
@@ -76,15 +69,14 @@ class RecurrenceParams:
 
     def __post_init__(self):
         try:
-            poly = _cubic(self.r, self.s)
+            poly = _require_poly((-1, self.s, -self.r, 1), 3)
         except (TypeError, ValueError):
             raise ValueError(f"r and s must be integers, got {self.r!r}, {self.s!r}") from None
         self.__dict__.update(r=-poly[2], s=poly[1], poly=poly)
 
     @property
     def delta(self) -> int:
-        # From the cubic, through the one discriminant memo; never stored.
-        return _discriminant(self.poly)
+        return self.poly.delta
 
 
 PERRIN = RecurrenceParams(0, -1)
@@ -171,10 +163,10 @@ def _table_primes(g: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _residue_table(r: int, s: int, p: int) -> tuple[int, tuple[int, ...], frozenset[int]]:
-    # (T, hits) of residue_tables for one p, built on first use, and hits
-    # as a set; keyed by (r, s) for the reason _exact_table gives.
-    r, s = r % p, s % p
+def _residue_table(f: Poly, p: int) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    # (T, hits) of residue_tables for one p of the cubic f, built on first
+    # use, and hits as a set.
+    r, s = -f[2] % p, f[1] % p
     a, b, c = start = (3 % p, r, (r * r - 2 * s) % p)
     period = []
     while True:
@@ -191,7 +183,7 @@ def _table_miss(params: RecurrenceParams, n: int) -> bool:
     # miss in p's table means A(n) != r mod n.
     g = math.gcd(n, _TABLE_PRODUCT)
     for p in _table_primes(g) if g > 1 else ():
-        period, _, hits = _residue_table(params.r, params.s, p)
+        period, _, hits = _residue_table(params.poly, p)
         if n // p % period not in hits:
             return True
     return False
@@ -207,7 +199,7 @@ def residue_tables(params: RecurrenceParams) -> dict[int, tuple[int, tuple[int, 
     So A(k) = r mod p iff k % T is in hits.  The tables are shared; a
     caller reads, never writes them.
     """
-    return {p: _residue_table(params.r, params.s, p)[:2] for p in _TABLE_PRIMES}
+    return {p: _residue_table(params.poly, p)[:2] for p in _TABLE_PRIMES}
 
 
 def residue_walk(params: RecurrenceParams, p: int, m: int, count: int) -> list[int]:
@@ -239,10 +231,9 @@ EXACT_TERM_BITS = 1 << 25
 
 
 @functools.lru_cache(maxsize=4)
-def _exact_table(r: int, s: int) -> list[int]:
-    # Grown in place by exact_terms.  Keyed by (r, s) rather than by
-    # RecurrenceParams, whose generated __hash__ would double the cost of
-    # a lookup, which every _terms call makes.
+def _exact_table(f: Poly) -> list[int]:
+    # A(0), A(1), A(2) of the cubic f, grown in place by exact_terms.
+    r, s = -f[2], f[1]
     return [3, r, r * r - 2 * s]
 
 
@@ -257,7 +248,7 @@ def exact_terms(params: RecurrenceParams, count: int) -> list[int]:
     (residue_walk).
     """
     r, s = params.r, params.s
-    terms = _exact_table(r, s)
+    terms = _exact_table(params.poly)
     if len(terms) < count:
         bits = sum(map(int.bit_length, terms))
         while len(terms) < count:

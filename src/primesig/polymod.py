@@ -22,8 +22,8 @@ a quadratic x^k - x, with _gcmd's inversions and gcds in _gcmd's order;
 other degrees share the generic product, remainder and _gcmd.
 _require_poly, the one polynomial check, returns a Poly, and nothing else
 makes one; a Poly handed back costs only the degree check and, when
-asked, reads of f(0) and of its discriminant, which the first squarefree
-check keeps on it.
+asked, reads of f(0) and of its discriminant, which every Poly computes
+on first read and keeps.
 
 An x-power of a quadratic or cubic Poly f does not start from x.  It
 starts from row J of f's table of x^j mod f over the integers (mod
@@ -44,14 +44,14 @@ The discriminant lives here too.  It is computed exactly (not mod n) as
 the signed resultant of f and f', by the subresultant pseudo-remainder
 sequence over the integers, so callers can reduce it by any modulus they
 like afterwards.  It is memoised per polynomial, since a scan asks for
-the same one at every n.
+the same one at every n, and each Poly keeps its own in delta.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 __all__ = ["discriminant"]
@@ -85,8 +85,12 @@ def _pmul(a: list[int], b: list[int], n: int) -> list[int]:
 
 class Poly(tuple):
     """The trimmed integer coefficients of a monic polynomial, lowest degree
-    first, as _require_poly returned them; nothing else makes one.  Once
-    checked squarefree, it carries its discriminant in delta."""
+    first, as _require_poly returned them; nothing else makes one.  Its
+    discriminant, delta (degree >= 1), is computed on first read and kept."""
+
+    @cached_property
+    def delta(self) -> int:
+        return _discriminant(self)
 
 
 def _require_poly(coeffs: Sequence[int], min_degree: int, squarefree: bool = False) -> Poly:
@@ -96,19 +100,16 @@ def _require_poly(coeffs: Sequence[int], min_degree: int, squarefree: bool = Fal
     # makes f(0)*delta = 0, so that no Frobenius test applies at any n.  A
     # Poly was checked when it was made, so it is not converted again.
     try:
-        f = coeffs if type(coeffs) is Poly else Poly(_trim([*map(operator.index, coeffs)]))
+        f = coeffs if type(coeffs) is Poly else Poly(
+            _trim([*map(operator.index, coeffs := tuple(coeffs))]))
     except TypeError:
-        raise ValueError(f"polynomial {tuple(coeffs)} must have integer coefficients") from None
+        raise ValueError(f"polynomial {coeffs!r} must have integer coefficients") from None
     if len(f) <= min_degree or f[-1] != 1:
         raise ValueError(f"polynomial must be monic of degree >= {min_degree}")
     if squarefree and f[0] == 0:
         raise ValueError(f"polynomial {f} has the root 0")
-    if squarefree:
-        delta = getattr(f, "delta", None)
-        if delta is None:
-            f.delta = delta = _discriminant(f)
-        if delta == 0:
-            raise ValueError(f"polynomial {f} is not squarefree")
+    if squarefree and f.delta == 0:
+        raise ValueError(f"polynomial {f} is not squarefree")
     return f
 
 
@@ -323,7 +324,7 @@ def discriminant(coeffs: Sequence[int]) -> int:
     Exact integer value: (-1)**(d*(d-1)/2) times the resultant of f and
     its derivative (the leading coefficient is 1, so no further division).
     """
-    return _discriminant(_require_poly(coeffs, 2))
+    return _require_poly(coeffs, 2).delta
 
 
 @lru_cache(maxsize=64)

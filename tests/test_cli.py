@@ -447,6 +447,59 @@ PINNED_EVIDENCE = [
         'record: {"n":"9","test":"frobenius","poly":"1,0,1",'
         '"verdict":"probable-prime","degrees":"2,0","jacobi":"1"}\n'
     )),
+    # An x-power from the exact table of x^j mod f: 509 < 2^9 under each
+    # test of x^3 - x - 1 and one step past the table of x^2 - 5; 4087 =
+    # 61 * 67 has no prime <= 59, so both Perrin tests take the power, and
+    # the even 16532714 reads the residue table of 2.
+    (509, 'perrin-weak', {}, (
+        'n = 509, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'perrin-weak: pass\n'
+        'record: {"n":"509","test":"perrin-weak","rs":"0,-1","verdict":"pass",'
+        '"jacobi":"1"}\n'
+    )),
+    (509, 'perrin-full', {}, (
+        'n = 509, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'signature (0, 508, 397, 109, 0, 508)\n'
+        "class I[D=109,D'=397], jacobi 1\n"
+        'perrin-full: pass\n'
+        'record: {"n":"509","test":"perrin-full","rs":"0,-1","verdict":"pass",'
+        '"class":"I[D=109,D\'=397]","jacobi":"1"}\n'
+    )),
+    (509, 'frobenius', {}, (
+        'n = 509, poly -1,-1,0,1\n'
+        'degrees [0, 0, 3]\n'
+        'jacobi stage sum S = 0, (delta/n) = 1\n'
+        'frobenius: probable-prime\n'
+        'record: {"n":"509","test":"frobenius","poly":"-1,-1,0,1",'
+        '"verdict":"probable-prime","degrees":"0,0,3","jacobi":"1"}\n'
+    )),
+    (509, 'frobenius', {'poly': (-5, 0, 1)}, (
+        'n = 509, poly -5,0,1\n'
+        'degrees [2, 0]\n'
+        'jacobi stage sum S = 0, (delta/n) = 1\n'
+        'frobenius: probable-prime\n'
+        'record: {"n":"509","test":"frobenius","poly":"-5,0,1",'
+        '"verdict":"probable-prime","degrees":"2,0","jacobi":"1"}\n'
+    )),
+    (4087, 'perrin-weak', {}, (
+        'n = 4087, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'perrin-weak: fail\n'
+        'record: {"n":"4087","test":"perrin-weak","rs":"0,-1","verdict":"fail",'
+        '"jacobi":"1"}\n'
+    )),
+    (4087, 'perrin-full', {}, (
+        'n = 4087, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'signature (3595, 3000, 608, 3482, 271, 3689)\n'
+        'class not-acceptable, jacobi 1\n'
+        'perrin-full: fail\n'
+        'record: {"n":"4087","test":"perrin-full","rs":"0,-1","verdict":"fail",'
+        '"class":"not-acceptable","jacobi":"1"}\n'
+    )),
+    (16532714, 'perrin-weak', {}, (
+        'n = 16532714, sequence parameters (r, s) = (0, -1), discriminant -23\n'
+        'perrin-weak: pass\n'
+        'record: {"n":"16532714","test":"perrin-weak","rs":"0,-1","verdict":"pass"}\n'
+    )),
     (561, 'korselt', {}, (
         'n = 561 = 3 * 11 * 17\n'
         'squarefree: True\n'
@@ -499,6 +552,8 @@ def test_verify_writes_its_pinned_evidence_once(n, test, kwargs, text):
     # A third value must not be taken for poly, nor a missing one for a default.
     *[(test, {"rs": (1, 2)}, {"rs": rs}, "^rs wants two integers")
       for test in ("perrin-weak", "perrin-full") for rs in ((1, 2, 3), (1,), (), 5, None)],
+    # A non-iterable poly is refused as such, not by a TypeError of the message.
+    ("frobenius", {"poly": (-1, -1, 0, 1)}, {"poly": 7}, "integer coefficients"),
 ])
 def test_verify_spec_memo_keeps_every_check(test, good, bad, error):
     # verify keeps one spec per parameter set; a bad parameter equal to a

@@ -398,7 +398,7 @@ def test_weak_mode_builds_only_the_tables_of_the_primes_of_n():
     assert not perrin_test(PERRIN, 15, "weak").passes
     built = perrin._residue_table.cache_info().currsize
     for p in (3, 5):
-        perrin._residue_table(PERRIN.r, PERRIN.s, p)
+        perrin._residue_table(PERRIN.poly, p)
     assert built >= 1 and perrin._residue_table.cache_info().currsize == 2
     assert len(residue_tables(PERRIN)) == perrin._residue_table.cache_info().currsize == 16
 
@@ -469,7 +469,6 @@ def test_params_take_integer_r_and_s_only(monkeypatch):
         with pytest.raises(ValueError, match="r and s must be integers"):
             RecurrenceParams(r, s)
     # The check reads types only: building computes no discriminant.
-    monkeypatch.setattr(perrin, "_discriminant", None)
     monkeypatch.setattr(polymod, "_discriminant", None)
     params = RecurrenceParams((1 << (1 << 22)) + 5, 3)
     assert params.poly[1:] == (3, -params.r, 1)

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from primesig import discriminant
+from primesig import RecurrenceParams, discriminant
 
 from primesig.polymod import (Poly, _compose_mod, _discriminant, _gcmd, _gcmd_minus_x,
                               _pdivmod_monic, _ppow_monic, _reduce, _require_poly, _x_rows,
@@ -348,6 +348,12 @@ def test_require_poly_checks_monic_degree():
     assert type(f) is Poly and _require_poly(f, 3) is f
     with pytest.raises(ValueError, match="monic of degree >= 4"):
         _require_poly(f, 4)
+    # Coefficients that are not integers are named as given: a generator's
+    # are not half consumed, and a non-iterable is refused the same way.
+    for coeffs, shown in (((c for c in (1.5, 0, 1)), "(1.5, 0, 1)"), (5, "5")):
+        with pytest.raises(ValueError) as info:
+            _require_poly(coeffs, 2)
+        assert str(info.value) == f"polynomial {shown} must have integer coefficients"
 
 
 def test_discriminant_known_values():
@@ -372,10 +378,17 @@ def test_discriminant_of_a_huge_perrin_cubic():
 
 
 def test_require_poly_squarefree_gives_every_degree_its_discriminant():
-    for coeffs, plain, delta in (((-7, 1), (-7, 1), 1), ((-1, -1, 0, 1, 0), (-1, -1, 0, 1), -23)):
+    for coeffs, plain, delta in (((-7, 1), (-7, 1), 1), ((-1, -1, 0, 1, 0), (-1, -1, 0, 1), -23),
+                                 ((-1, 1, -1, 1), (-1, 1, -1, 1), -16)):
         f = _require_poly(coeffs, 1, squarefree=True)
         assert f == plain and _discriminant(f) == f.delta == delta
         assert _require_poly(f, 1, squarefree=True) is f
+        # A Poly made without the squarefree check answers the same delta:
+        # of degree 1 or more, and the cubic of recurrence parameters.
+        unchecked = [_require_poly(coeffs, min(2, len(plain) - 1))]
+        if len(plain) == 4:
+            unchecked.append(RecurrenceParams(-plain[2], plain[1]).poly)
+        assert [g.delta for g in unchecked] == [delta] * len(unchecked)
     # A Poly made without the squarefree check still gets it when asked.
     for coeffs, message in (((0, -1, 0, 1), "has the root 0"), ((1, 2, 1), "not squarefree")):
         f = _require_poly(coeffs, 2)

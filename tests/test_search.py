@@ -5,6 +5,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -309,6 +311,40 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     blob = out1.read_bytes()
     assert blob == out2.read_bytes() == out3.read_bytes() == out8.read_bytes()
     assert blob.count(b"\n") == blob.count(b"{")  # LF framed records
+
+
+# Scans three 2^14 blocks on 2 workers under the start method argv[1], in
+# the directory argv[2], and prints each scan's records and outcome counts.
+START_METHOD_SCANS = """
+import json, multiprocessing, sys
+from primesig.search import SearchSpec, run_range_search
+multiprocessing.set_start_method(sys.argv[1])
+scans = {}
+for name, spec in (("weak", SearchSpec("perrin-weak")), ("full", SearchSpec("perrin-full", -2, 3)),
+                   ("x2m5", SearchSpec("frobenius", poly=(-5, 0, 1)))):
+    path = f"{sys.argv[2]}/{name}.jsonl"
+    summary = run_range_search(3, 3 << 14, spec, workers=2, out_path=path, block_size=1 << 14)
+    with open(path, encoding="utf-8") as fh:
+        scans[name] = [fh.read(), summary["outcomes"], summary["blocks_total"]]
+print(json.dumps(scans))
+"""
+
+
+def test_start_methods_write_the_same_bytes(tmp_path):
+    # Spawn and forkserver workers unpickle the spec, its Poly with it,
+    # where fork workers inherit it.  Each method runs in an interpreter of
+    # its own, so that this one's start method is left alone.
+    scans = {}
+    for method in ("fork", "spawn", "forkserver"):
+        (tmp_path / method).mkdir()
+        proc = subprocess.run([sys.executable, "-c", START_METHOD_SCANS, method,
+                               str(tmp_path / method)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        scans[method] = json.loads(proc.stdout)
+    assert scans["spawn"] == scans["forkserver"] == scans["fork"]
+    fork = scans["fork"]
+    assert [blocks for _, _, blocks in fork.values()] == [3, 3, 3]
+    assert fork["x2m5"][0] and fork["full"][1]["not-applicable"] > 0
 
 
 def test_kill_and_resume_reproduces_bytes(tmp_path):

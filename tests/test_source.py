@@ -41,3 +41,20 @@ def test_frozen_dataclasses_validate():
             if "__post_init__" not in methods:
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert not found, found
+
+
+def test_only_polymod_makes_a_poly_or_its_discriminant():
+    # A Poly comes from _require_poly and answers its own delta, so no
+    # other module calls Poly(...) or names the discriminant memo.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "polymod.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            named = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "Poly"
+            if "_discriminant" in named or called:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
