@@ -20,11 +20,14 @@ import argparse
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .carmichael import korselt
-from .constructor import PRESETS, ConstructionParams, construct
 from .polymod import _require_poly
 from .search import DEFAULT_BLOCK_SIZE, TESTS, SearchSpec, _record_json, record, run_range_search
+
+# carmichael and constructor load only in the commands that call them.
+if TYPE_CHECKING:
+    from .constructor import ConstructionParams
 
 __all__ = ["main", "verify_number", "run_construct_job", "parse_params_file"]
 
@@ -79,6 +82,7 @@ def verify_number(n: int, test: str, *, rs: tuple[int, int] = (0, -1),
     poly, only the one the test reads is passed on."""
     out = out if out is not None else sys.stdout
     if test == "korselt":
+        from .carmichael import korselt
         cert = korselt(n)
         factors = " * ".join(
             f"{p}^{e}" if e > 1 else str(p) for p, e in cert.factorization.factors)
@@ -143,6 +147,7 @@ def parse_params_file(path: str) -> ConstructionParams:
     """Flat key=value lines; # starts a comment, blank lines are skipped.
     Each key is given at most once; every value is an integer, except
     poly, a comma-separated list of them."""
+    from .constructor import ConstructionParams
     values: dict[str, int | tuple[int, ...]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -173,6 +178,7 @@ def parse_params_file(path: str) -> ConstructionParams:
 def run_construct_job(params: ConstructionParams, out=None, err=None) -> int:
     """Run the constructor, write certificate records to out, diagnostics
     to err.  Exit code 0 with certificates, 2 without."""
+    from .constructor import construct
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     result = construct(params)
@@ -195,6 +201,7 @@ def _cmd_construct(args) -> int:
               file=sys.stderr)
         return 1
     if args.preset:
+        from .constructor import PRESETS
         if args.preset not in PRESETS:
             print(f"construct: unknown preset {args.preset!r}; "
                   f"available: {', '.join(sorted(PRESETS))}", file=sys.stderr)
@@ -242,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_construct = sub.add_parser("construct", help="run the Carmichael constructor")
-    p_construct.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
+    p_construct.add_argument("--preset", help="a named parameter set; an unknown name lists them")
     p_construct.add_argument("--params", help="key=value parameter file")
     p_construct.add_argument("--out", help="certificate records file (default stdout)")
     p_construct.set_defaults(func=_cmd_construct)

@@ -8,6 +8,7 @@ steps count against its budget.  Any piece left below 10**8 is prime.
 """
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ def _small_primes() -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i in range(limit + 1) if sieve[i]]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 @functools.cache

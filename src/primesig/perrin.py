@@ -31,7 +31,6 @@ read mod the one large prime factor of n.
 """
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -54,8 +53,6 @@ __all__ = [
     "exact_terms",
     "EXACT_TERM_BITS",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -167,12 +164,12 @@ def _residue_table(f: Poly, p: int) -> tuple[int, tuple[int, ...], frozenset[int
     # (T, hits) of residue_tables for one p of the cubic f, built on first
     # use, and hits as a set.
     r, s = -f[2] % p, f[1] % p
-    a, b, c = start = (3 % p, r, (r * r - 2 * s) % p)
+    a0, b0, c0 = a, b, c = 3 % p, r, (r * r - 2 * s) % p
     period = []
     while True:
         period.append(a)
         a, b, c = b, c, (r * c - s * b + a) % p
-        if (a, b, c) == start:
+        if a == a0 and b == b0 and c == c0:  # no tuple built per step
             break
     hits = tuple(k for k, a in enumerate(period) if a == r)
     return len(period), hits, frozenset(hits)
@@ -265,7 +262,8 @@ def _recover_root(params: RecurrenceParams, n: int) -> int | None:
     # gcmd(x^n - x, f).  Anything else means no Q match.
     out = _gcmd_minus_x(_xpow(n, params.poly, n), params.poly, n)
     if out[0] == "factor":
-        log.debug("root recovery mod %d exposed factor %d", n, out[1])
+        import logging
+        logging.getLogger(__name__).debug("root recovery mod %d exposed factor %d", n, out[1])
         return None
     g = out[1]
     if len(g) != 2:

@@ -86,7 +86,7 @@ def _pmul(a: list[int], b: list[int], n: int) -> list[int]:
 class Poly(tuple):
     """The trimmed integer coefficients of a monic polynomial, lowest degree
     first, as _require_poly returned them; nothing else makes one.  Its
-    discriminant, delta (degree >= 1), is computed on first read and kept."""
+    discriminant, delta (1 below degree 2), is computed on first read and kept."""
 
     @cached_property
     def delta(self) -> int:
@@ -329,11 +329,13 @@ def discriminant(coeffs: Sequence[int]) -> int:
 
 @lru_cache(maxsize=64)
 def _discriminant(cs: tuple[int, ...]) -> int:
-    # cs is trimmed and monic of degree >= 1.  Each step replaces (a, b)
-    # by (b, prem(a, b) / (g*h^delta)), delta = deg a - deg b, then sets
+    # cs is trimmed and monic.  Each step replaces (a, b) by
+    # (b, prem(a, b) / (g*h^delta)), delta = deg a - deg b, then sets
     # g = lc(b) and h = g^delta / h^(delta - 1); each division is exact.
     # A zero remainder is a repeated root: discriminant 0.
     d = len(cs) - 1
+    if d == 0:
+        return 1  # the empty product, as for degree 1
     a, b = list(cs), [i * cs[i] for i in range(1, d + 1)]
     sign, g, h = (-1) ** (d * (d - 1) // 2), 1, 1
     while len(b) > 1:

@@ -51,7 +51,6 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -426,6 +425,8 @@ def run_range_search(start: int, stop: int, spec: SearchSpec, *,
     # which scans its blocks inline; each other gets its own pipe.
     procs = min(workers, total_blocks - first_block)
     children = []
+    if procs > 1:  # a run on one worker never imports multiprocessing
+        import multiprocessing
     try:
         for k in range(1, procs):
             receiver, sender = multiprocessing.Pipe(duplex=False)

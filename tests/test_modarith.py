@@ -19,6 +19,13 @@ from primesig import (
 from oracles import factorize_naive, is_prime_naive, jacobi_naive, sieve
 
 
+def test_small_primes_are_the_primes_up_to_the_trial_limit():
+    limit = primesig.modarith._TRIAL_LIMIT
+    flags = sieve(limit)
+    primes = primesig.modarith._small_primes()
+    assert primes == [p for p in range(limit + 1) if flags[p]] and len(primes) == 1229
+
+
 def test_jacobi_known_values():
     assert jacobi(1, 9) == 1
     assert jacobi(-23, 7) == -1

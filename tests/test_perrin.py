@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -422,6 +423,35 @@ def test_residue_tables_match_sequence_terms(rs):
     if rs == (3, 3):
         # (x - 1)^3: A(k) = 3 for every k, so nothing is ever rejected.
         assert all(table == (1, (0,)) for table in tables.values())
+
+
+# For p = 2 and each odd prime p <= 59: the period of A mod p, and the
+# sha256 of every (period, hits), as the loop that compared the whole window
+# (A(k), A(k + 1), A(k + 2)) as one tuple at each step built them.
+PINNED_TABLES = {
+    (0, -1): ([7, 13, 24, 48, 120, 183, 288, 180, 22, 871, 993, 1368, 1723, 231, 2257, 1404, 58],
+              "828f77b6734dc370f5da0b0e4ae1e0ae746c6a708736b9f8f214a409ed0488be"),
+    (1, -1): ([1, 13, 31, 48, 10, 168, 96, 360, 553, 140, 331, 469, 560, 308, 46, 52, 3541],
+              "ccbf033df3d70487e0265d2a8a3e303c401c14ece3c95410cbb6fe38dd28c120"),
+    (-2, 3): ([7, 8, 1, 6, 133, 56, 48, 45, 553, 871, 960, 469, 560, 631, 368, 52, 1160],
+              "790a83d25548cb588594e4fbf1ea9396f67518a6f48cafbbc37937d0a8b5e4ad"),
+    (3, 3): ([1] * 17,
+             "06ba3e3bd244e59d8e9654edf0b035603d0f865ec8d944964beefa2743f6428f"),
+    (-2, 2): ([3, 13, 8, 57, 133, 168, 307, 360, 22, 67, 993, 1407, 40, 924, 2208, 702, 3541],
+              "6c41fac7b182031c23f1290ab66e5aea3873df9452ffc5e1071312ad8b0dbcd7"),
+    (5, 7): ([1, 13, 31, 16, 10, 56, 32, 120, 553, 140, 331, 469, 560, 308, 46, 52, 3541],
+             "6a8b95d58c7c8d772b86a924c1caf0aa90917e44300ac3427ac9f751616de4be"),
+}
+
+
+@pytest.mark.parametrize("rs", list(PINNED_TABLES))
+def test_residue_tables_keep_their_periods_and_hits(rs):
+    f = RecurrenceParams(*rs).poly
+    tables = [perrin._residue_table(f, p) for p in (2, *perrin._TABLE_PRIMES)]
+    periods, digest = PINNED_TABLES[rs]
+    assert [period for period, _, _ in tables] == periods
+    assert hashlib.sha256(repr([table[:2] for table in tables]).encode()).hexdigest() == digest
+    assert all(as_set == frozenset(hits) for _, hits, as_set in tables)
 
 
 @pytest.mark.parametrize("rs", [(0, -1), (1, -1), (-2, 3), (3, 3), (-2, 2)])

@@ -389,6 +389,12 @@ def test_require_poly_squarefree_gives_every_degree_its_discriminant():
         if len(plain) == 4:
             unchecked.append(RecurrenceParams(-plain[2], plain[1]).poly)
         assert [g.delta for g in unchecked] == [delta] * len(unchecked)
+    # Degree 0, the trivial parts frobenius_step checks, answers the empty
+    # product, as degree 1 does; the public discriminant still refuses both.
+    assert _require_poly((1,), 0).delta == _require_poly((1, 0, 0), 0).delta == 1
+    for coeffs in ((1,), (5, 1)):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            discriminant(coeffs)
     # A Poly made without the squarefree check still gets it when asked.
     for coeffs, message in (((0, -1, 0, 1), "has the root 0"), ((1, 2, 1), "not squarefree")):
         f = _require_poly(coeffs, 2)

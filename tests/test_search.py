@@ -977,7 +977,9 @@ def test_scan_starts_no_idle_workers(tmp_path, monkeypatch):
     # A run starts one process fewer than it has workers, and never more
     # than its blocks left: the parent scans a share of its own.
     started = []
-    real_process = search.multiprocessing.Process
+    # run_range_search imports multiprocessing when it starts a worker, so its
+    # Process is the module's own.
+    real_process = multiprocessing.Process
 
     def process(*args, **kwargs):
         started[-1] += 1
@@ -987,7 +989,7 @@ def test_scan_starts_no_idle_workers(tmp_path, monkeypatch):
         started.append(0)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(search.multiprocessing, "Process", process)
+    monkeypatch.setattr(multiprocessing, "Process", process)
     spec = SearchSpec("perrin-weak")
     counted(run, tmp_path, "one", start=3, stop=900, spec=spec, workers=8, block_size=1000)
     counted(run, tmp_path, "three", start=3, stop=2900, spec=spec, workers=8, block_size=1000)
